@@ -1,16 +1,12 @@
-"""Hot Monte Carlo kernels: per-sample integrand values for the (aa|bb)-type
-two-electron integrals.
+"""Hot Monte Carlo kernel: per-sample integrand values for the (aa|bb)-type
+two-electron integrals, vectorized with numpy over a block of samples.
 
-Two interchangeable implementations of the same arithmetic:
-
-* a numba @njit scalar loop (default when numba imports cleanly), and
-* a vectorized pure-numpy fallback.
-
-Set the environment variable H2E_NO_NUMBA=1 to force the numpy path.  Both
-paths are deterministic functions of the uniform-variate array they receive;
-they may differ from each other in the last few ulps (different libm), so a
-given backend reproduces itself bit-for-bit but the two backends are only
-statistically identical.
+Bit-identity invariant: every step is elementwise in the sample index and
+every transcendental function runs on a contiguous float64 array, so the
+value of a sample is a deterministic function of its own row of uniforms
+only.  Evaluating an (n, 8) array in row blocks gives exactly the values of
+evaluating it in one piece; the oracle relies on this to keep its working
+set cache-sized without changing any estimate.
 
 Sampling: electron positions are drawn from 1s probability densities by
 inverting the closed-form radial CDF.  With x = 2r the complementary CDF is
@@ -31,7 +27,6 @@ Integrand kinds (nuclei at z=0 and z=s):
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -43,164 +38,93 @@ KIND_CODES = {"j": KIND_J, "k": KIND_K, "l": KIND_L, "m": KIND_M}
 
 _NEWTON_STEPS = 8
 
-try:
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    njit = None
-    prange = range
-    _HAVE_NUMBA = False
-
 
 def active_backend() -> str:
-    """Kernel backend selected for this call: "numba" or "numpy"."""
-    if os.environ.get("H2E_NO_NUMBA", "").strip() not in ("", "0"):
-        return "numpy"
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation, reported in `h2e verify`'s header."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy path
-# ---------------------------------------------------------------------------
+def _radius(u):
+    """Inverse-CDF radius for a contiguous float64 array of uniforms.
 
-def _radius_numpy(u):
+    Newton's update x - phi/dphi is applied as x + phi/d with d = -dphi,
+    which is the same float64 value; where d == 0, x is left unchanged.
+    """
     lnq = np.log1p(-u)
-    big = -lnq
-    x_big = big + np.log1p(big + 0.5 * big * big)
-    x_big = big + np.log1p(x_big + 0.5 * x_big * x_big)
-    x = np.where(u < 0.9, np.cbrt(6.0 * u), x_big)
+    x = np.cbrt(6.0 * u)
+    tail = u >= 0.9
+    if tail.any():
+        big = -lnq[tail]
+        x0 = big + np.log1p(big + 0.5 * big * big)
+        x[tail] = big + np.log1p(x0 + 0.5 * x0 * x0)
+    half = np.empty_like(x)
+    t = np.empty_like(x)
+    phi = np.empty_like(x)
+    d = np.empty_like(x)
     for _ in range(_NEWTON_STEPS):
-        t = x * (1.0 + 0.5 * x)
-        phi = -x + np.log1p(t) - lnq
-        dphi = -(0.5 * x * x) / (1.0 + t)
-        safe = dphi != 0.0
-        x = x - np.where(safe, phi / np.where(safe, dphi, 1.0), 0.0)
-        x = np.maximum(x, 1e-300)
-    return 0.5 * x
+        # t = x (1 + x/2);  phi = ln(1 + t) - x - ln Q;  d = (x/2) x / (1 + t)
+        np.multiply(x, 0.5, out=half)
+        np.add(half, 1.0, out=t)
+        t *= x
+        np.log1p(t, out=phi)
+        phi -= x
+        phi -= lnq
+        np.multiply(half, x, out=d)
+        t += 1.0
+        d /= t
+        if not d.all():
+            zero = d == 0.0
+            d[zero] = 1.0
+            phi[zero] = 0.0
+        phi /= d
+        x += phi
+        np.maximum(x, 1e-300, out=x)
+    x *= 0.5
+    return x
 
 
-def _positions_numpy(u3, center_z):
-    r = _radius_numpy(u3[:, 0])
-    cz = 2.0 * u3[:, 1] - 1.0
-    ph = 2.0 * math.pi * u3[:, 2]
-    st = np.sqrt(np.maximum(1.0 - cz * cz, 0.0))
-    return (r * st * np.cos(ph), r * st * np.sin(ph), center_z + r * cz)
+def _pair(u, col):
+    """Column `col` of electron 1 and electron 2 as one contiguous (2, n) array."""
+    return u[:, col::4].T.copy()
 
 
-def _samples_numpy(kind, s, u):
-    if kind == KIND_J:
-        c1 = np.zeros(u.shape[0])
-        c2 = np.full(u.shape[0], s)
-    elif kind == KIND_M:
-        c1 = np.zeros(u.shape[0])
-        c2 = np.zeros(u.shape[0])
-    else:
-        c1 = np.where(u[:, 3] < 0.5, 0.0, s)
-        c2 = np.where(u[:, 7] < 0.5, 0.0, s)
-    x1, y1, z1 = _positions_numpy(u[:, 0:3], c1)
-    x2, y2, z2 = _positions_numpy(u[:, 4:7], c2)
-    r12 = np.sqrt((x1 - x2) ** 2 + (y1 - y2) ** 2 + (z1 - z2) ** 2)
-    inv = 1.0 / r12
-    if kind in (KIND_J, KIND_M):
-        return inv
-    da1 = np.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-    db1 = np.sqrt(x1 * x1 + y1 * y1 + (z1 - s) ** 2)
-    da2 = np.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
-    db2 = np.sqrt(x2 * x2 + y2 * y2 + (z2 - s) ** 2)
-    sech2 = _sech_numpy(da2 - db2)
-    if kind == KIND_K:
-        return _sech_numpy(da1 - db1) * sech2 * inv
-    return (1.0 - np.tanh(da1 - db1)) * sech2 * inv
-
-
-def _sech_numpy(d):
-    a = np.abs(d)
-    e = np.exp(-a)
+def _sech(d):
+    e = np.exp(-np.abs(d))
     return 2.0 * e / (1.0 + e * e)
 
 
-# ---------------------------------------------------------------------------
-# numba path (same arithmetic, scalar loop)
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _radius_numba(u):
-        lnq = math.log1p(-u)
-        if u < 0.9:
-            x = (6.0 * u) ** (1.0 / 3.0)
-        else:
-            big = -lnq
-            x = big + math.log1p(big + 0.5 * big * big)
-            x = big + math.log1p(x + 0.5 * x * x)
-        for _ in range(_NEWTON_STEPS):
-            t = x * (1.0 + 0.5 * x)
-            phi = -x + math.log1p(t) - lnq
-            dphi = -(0.5 * x * x) / (1.0 + t)
-            if dphi != 0.0:
-                x = x - phi / dphi
-            if x < 1e-300:
-                x = 1e-300
-        return 0.5 * x
-
-    @njit(cache=True)
-    def _sech_numba(d):
-        a = abs(d)
-        e = math.exp(-a)
-        return 2.0 * e / (1.0 + e * e)
-
-    # prange writes independent elements (no reductions), so the threaded
-    # loop stays bit-deterministic for a given input array
-    @njit(cache=True, parallel=True)
-    def _samples_numba(kind, s, u):
-        n = u.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in prange(n):
-            if kind == KIND_J:
-                ctr1 = 0.0
-                ctr2 = s
-            elif kind == KIND_M:
-                ctr1 = 0.0
-                ctr2 = 0.0
-            else:
-                ctr1 = 0.0 if u[i, 3] < 0.5 else s
-                ctr2 = 0.0 if u[i, 7] < 0.5 else s
-            r1 = _radius_numba(u[i, 0])
-            cz1 = 2.0 * u[i, 1] - 1.0
-            ph1 = 2.0 * math.pi * u[i, 2]
-            st1 = math.sqrt(max(1.0 - cz1 * cz1, 0.0))
-            x1 = r1 * st1 * math.cos(ph1)
-            y1 = r1 * st1 * math.sin(ph1)
-            z1 = ctr1 + r1 * cz1
-            r2 = _radius_numba(u[i, 4])
-            cz2 = 2.0 * u[i, 5] - 1.0
-            ph2 = 2.0 * math.pi * u[i, 6]
-            st2 = math.sqrt(max(1.0 - cz2 * cz2, 0.0))
-            x2 = r2 * st2 * math.cos(ph2)
-            y2 = r2 * st2 * math.sin(ph2)
-            z2 = ctr2 + r2 * cz2
-            r12 = math.sqrt((x1 - x2) ** 2 + (y1 - y2) ** 2 + (z1 - z2) ** 2)
-            inv = 1.0 / r12
-            if kind == KIND_J or kind == KIND_M:
-                out[i] = inv
-            else:
-                da1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-                db1 = math.sqrt(x1 * x1 + y1 * y1 + (z1 - s) ** 2)
-                da2 = math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
-                db2 = math.sqrt(x2 * x2 + y2 * y2 + (z2 - s) ** 2)
-                sech2 = _sech_numba(da2 - db2)
-                if kind == KIND_K:
-                    out[i] = _sech_numba(da1 - db1) * sech2 * inv
-                else:
-                    out[i] = (1.0 - math.tanh(da1 - db1)) * sech2 * inv
-        return out
+def _samples(kind, s, u):
+    # row 0 is electron 1, row 1 electron 2
+    if kind == KIND_J:
+        centers = np.array([[0.0], [s]])
+    elif kind == KIND_M:
+        centers = np.zeros((2, 1))
+    else:
+        centers = np.where(_pair(u, 3) < 0.5, 0.0, s)
+    r = _radius(_pair(u, 0))
+    cz = 2.0 * _pair(u, 1) - 1.0
+    ph = (2.0 * math.pi) * _pair(u, 2)
+    rst = r * np.sqrt(np.maximum(1.0 - cz * cz, 0.0))
+    x = rst * np.cos(ph)
+    y = rst * np.sin(ph)
+    z = r * cz
+    z += centers
+    r12 = np.sqrt((x[0] - x[1]) ** 2 + (y[0] - y[1]) ** 2 + (z[0] - z[1]) ** 2)
+    inv = 1.0 / r12
+    if kind in (KIND_J, KIND_M):
+        return inv
+    rho2 = x * x + y * y
+    dab = np.sqrt(rho2 + z * z) - np.sqrt(rho2 + (z - s) ** 2)
+    if kind == KIND_K:
+        sech = _sech(dab)
+        return sech[0] * sech[1] * inv
+    return (1.0 - np.tanh(dab[0])) * _sech(dab[1]) * inv
 
 
 def radius_from_uniform(u):
-    """Inverse-CDF radius of the 1s density p(r) = 4 r^2 e^-2r (numpy path)."""
-    return _radius_numpy(np.asarray(u, dtype=np.float64))
+    """Inverse-CDF radius of the 1s density p(r) = 4 r^2 e^-2r."""
+    u = np.array(u, dtype=np.float64)
+    return _radius(u.ravel()).reshape(u.shape)
 
 
 def integrand_samples(kind: int, s: float, u: np.ndarray) -> np.ndarray:
@@ -217,6 +141,4 @@ def integrand_samples(kind: int, s: float, u: np.ndarray) -> np.ndarray:
     """
     if kind not in (KIND_J, KIND_K, KIND_L, KIND_M):
         raise ValueError(f"unknown integrand kind {kind!r}")
-    if active_backend() == "numba":
-        return _samples_numba(kind, float(s), u)
-    return _samples_numpy(kind, float(s), u)
+    return _samples(kind, float(s), u)

@@ -1,10 +1,11 @@
 """Command-line front end `h2e`: point evaluation, distance sweeps, figure
 data and oracle verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-Data goes to stdout or --out; diagnostics go to stderr.  Output is
-deterministic: identical arguments (and kernel backend) give byte-identical
-bytes, independent of --parallel.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including an
+input the float64 closed forms cannot evaluate), 3 I/O error.  Data goes to
+stdout or --out; diagnostics go to stderr.  Output is deterministic:
+identical arguments give byte-identical bytes.  --parallel (and
+$H2E_PARALLEL) is validated but evaluation is always serial.
 """
 
 import argparse
@@ -79,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
     sp.add_argument("--parallel", type=int, default=None,
-                    help="worker processes (default: $H2E_PARALLEL or 1)")
+                    help="accepted for compatibility, must be >= 1 "
+                         "(default: $H2E_PARALLEL or 1); evaluation is serial")
 
     sp = sub.add_parser("figure", help="emit plot-ready data for the standard figures")
     sp.add_argument("--which", choices=list(FIGURES), required=True)
@@ -99,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve_parallel(value) -> int:
+def _check_parallel(value) -> None:
+    """Validate --parallel / $H2E_PARALLEL; the count no longer changes anything."""
     if value is None:
         value = _parallel_default()
     try:
@@ -108,7 +111,18 @@ def _resolve_parallel(value) -> int:
         raise ValueError(f"invalid parallel worker count {value!r}")
     if n < 1:
         raise ValueError(f"parallel must be >= 1, got {n}")
-    return n
+
+
+def _require_finite(fields, rows) -> None:
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"non-finite result at {fields[0]} = {row[0]!r}")
+
+
+def _refuse_evaluation(exc: Exception) -> int:
+    _err(f"input outside the domain the closed forms can evaluate in float64 "
+         f"({type(exc).__name__}: {exc})")
+    return EXIT_USAGE
 
 
 def _write_output(text: str, out_path) -> int:
@@ -128,7 +142,11 @@ def _cmd_point(args) -> int:
     if not (math.isfinite(args.s) and args.s > 0.0):
         _err(f"--s must be finite and > 0, got {args.s!r}")
         return EXIT_USAGE
-    rec = record_at(args.s, args.h22, args.unit)
+    try:
+        rec = record_at(args.s, args.h22, args.unit)
+        _require_finite(SCAN_FIELDS, [rec.values()])
+    except (ArithmeticError, ValueError) as exc:
+        return _refuse_evaluation(exc)
     lines = [f"unit = {args.unit}", f"h22 = {args.h22}"]
     for name in SCAN_FIELDS:
         lines.append(f"{name} = {format(getattr(rec, name), '.12g')}")
@@ -138,15 +156,18 @@ def _cmd_point(args) -> int:
 
 def _cmd_scan(args) -> int:
     try:
+        _check_parallel(args.parallel)
         config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=args.steps,
-                            unit=args.unit, h22_variant=args.h22, format=args.format,
-                            parallel=_resolve_parallel(args.parallel))
+                            unit=args.unit, h22_variant=args.h22, format=args.format)
         config.validate()
     except ValueError as exc:
         _err(str(exc))
         return EXIT_USAGE
-    records = scan_records(config)
-    rows = [r.values() for r in records]
+    try:
+        rows = [r.values() for r in scan_records(config)]
+        _require_finite(SCAN_FIELDS, rows)
+    except (ArithmeticError, ValueError) as exc:
+        return _refuse_evaluation(exc)
     if config.format == "csv":
         text = render_csv(SCAN_FIELDS, rows)
     else:
@@ -159,14 +180,18 @@ def _cmd_figure(args) -> int:
     if steps is None:
         steps = FIG3_DEFAULT_STEPS if args.which == "fig3" else 400
     try:
+        _check_parallel(args.parallel)
         config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=steps,
-                            unit=args.unit, h22_variant=args.h22,
-                            parallel=_resolve_parallel(args.parallel))
+                            unit=args.unit, h22_variant=args.h22)
         config.validate()
-        fields, rows = figure_table(args.which, config)
     except ValueError as exc:
         _err(str(exc))
         return EXIT_USAGE
+    try:
+        fields, rows = figure_table(args.which, config)
+        _require_finite(fields, rows)
+    except (ArithmeticError, ValueError) as exc:
+        return _refuse_evaluation(exc)
     return _write_output(render_csv(fields, rows), args.out)
 
 

@@ -3,14 +3,12 @@
 Energies are reported relative to two separated hydrogen atoms (2 E1s) and
 converted from Hartree to the selected output unit.  Rows are rendered with
 12 significant digits, '.' decimal separator and LF line endings; identical
-configurations produce byte-identical output regardless of the worker-pool
-size, because every grid point is a pure function of (s, variant) and rows
-are emitted in grid order.
+configurations produce byte-identical output, because every grid point is a
+pure function of (s, variant, unit) and rows are emitted in grid order.
 """
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .ci import E1S, H22_VARIANTS, ci_solve, ground_concurrence, ground_entropy
@@ -69,9 +67,6 @@ class ScanConfig:
     unit: str = "rydberg"
     h22_variant: str = "corrected"
     format: str = "csv"
-    parallel: int = 1
-    seed: int = 42
-    samples: int = 2_000_000
 
     def validate(self) -> None:
         if not (math.isfinite(self.s_min) and self.s_min > 0.0):
@@ -88,12 +83,6 @@ class ScanConfig:
             raise ValueError(f"unknown h22 variant {self.h22_variant!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.parallel < 1:
-            raise ValueError(f"parallel must be >= 1, got {self.parallel!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.samples < 10_000:
-            raise ValueError(f"samples must be >= 10000, got {self.samples!r}")
 
 
 def record_at(s: float, variant: str = "corrected", unit: str = "rydberg") -> ScanRecord:
@@ -119,25 +108,11 @@ def grid_values(s_min: float, s_max: float, steps: int):
     return [s_min + i * h for i in range(steps)]
 
 
-def _worker(args):
-    s, variant, unit = args
-    return record_at(s, variant, unit)
-
-
 def scan_records(config: ScanConfig):
-    """All sweep rows, strictly ordered by s.
-
-    With parallel > 1 the grid is evaluated by a process pool; ordering and
-    values are independent of the pool size.
-    """
+    """All sweep rows, strictly ordered by s."""
     config.validate()
     grid = grid_values(config.s_min, config.s_max, config.steps)
-    args = [(s, config.h22_variant, config.unit) for s in grid]
-    if config.parallel == 1:
-        return [_worker(a) for a in args]
-    chunk = max(1, len(args) // (4 * config.parallel))
-    with ProcessPoolExecutor(max_workers=config.parallel) as pool:
-        return list(pool.map(_worker, args, chunksize=chunk))
+    return [record_at(s, config.h22_variant, config.unit) for s in grid]
 
 
 def _fmt(x: float) -> str:

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+import pathlib
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import h2ent.cli
 from h2ent.cli import main
 from h2ent.scan import SCAN_FIELDS
 
@@ -54,6 +57,36 @@ def test_point_rejects_nonpositive_distance(capsys):
 def test_point_rejects_unknown_unit(capsys):
     code, _, _ = run_cli(["point", "--s", "1.0", "--unit", "joule"], capsys)
     assert code == 2
+
+
+# s -> 0 divides by 1 - S^2 = 0; s = 700 gives c1 = nan; s = 800 overflows exp(s)
+@pytest.mark.parametrize("s", ["1e-9", "700", "800"])
+def test_point_refuses_unevaluable_distance(s, capsys):
+    code, out, err = run_cli(["point", "--s", s], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("h2e: error: ") and "Traceback" not in err
+
+
+def test_point_refuses_non_finite_record(capsys, monkeypatch):
+    real = h2ent.cli.record_at
+    monkeypatch.setattr(h2ent.cli, "record_at",
+                        lambda *a: dataclasses.replace(real(*a), e_psi2=math.inf))
+    code, out, err = run_cli(["point", "--s", "1.5"], capsys)
+    assert code == 2 and out == ""
+    assert "non-finite result at s = 1.5" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--s-min", "600", "--s-max", "800", "--steps", "5"],
+    ["scan", "--s-min", "1e-9", "--s-max", "1", "--steps", "5", "--format", "json"],
+    ["figure", "--which", "fig4", "--s-min", "1", "--s-max", "800", "--steps", "5"],
+])
+def test_grid_commands_refuse_unevaluable_distances(command, capsys):
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("h2e: error: ")
 
 
 # ---------------------------------------------------------------- scan
@@ -244,6 +277,16 @@ def test_verify_selected_printed_variant_fails(capsys):
     assert code == 1
     printed_row = next(ln for ln in out.split("\n") if ln.strip().startswith("printed"))
     assert "FAIL" in printed_row
+
+
+def test_verify_output_is_pinned(capsys):
+    # 100003 samples span several oracle blocks plus a short tail; the file
+    # holds the report of the one-array implementation, byte for byte.  At
+    # this sample count sigma exceeds 1e-3, so the MC checks FAIL (exit 1).
+    golden = pathlib.Path(__file__).parent / "data" / "verify_samples100003_seed7.txt"
+    code, out, _ = run_cli(["verify", "--samples", "100003", "--seed", "7"], capsys)
+    assert out == golden.read_text(encoding="utf-8")
+    assert code == 1
 
 
 def test_verify_rejects_bad_arguments(capsys):

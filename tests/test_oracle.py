@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import h2ent._mc_kernels as kernels
+import h2ent.oracle as oracle
 from h2ent.integrals import coulomb_j, exchange_k, hybrid_l, overlap, jprime, kprime
-from h2ent.oracle import McEstimate, mc_two_electron, oracle_e1, quad_one_electron
+from h2ent.oracle import BLOCK_ROWS, McEstimate, mc_two_electron, oracle_e1, quad_one_electron
 from h2ent.specfun import EULER_GAMMA
 
 S_GRID = (0.5, 1.0, 1.67, 2.0, 4.0, 8.0)
@@ -88,23 +89,95 @@ def test_radius_transform_inverts_cdf():
     assert np.max(np.abs(back - u)) < 1e-9
 
 
-def test_backend_selection_env_flag(monkeypatch):
-    assert kernels.active_backend() in ("numba", "numpy")
-    monkeypatch.setenv("H2E_NO_NUMBA", "1")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("H2E_NO_NUMBA", "0")
-    assert kernels.active_backend() in ("numba", "numpy")
+# The unfused one-pass kernel the blocked one replaced, kept as the reference
+# that every per-sample value must equal bit for bit.
+def _reference_radius(u):
+    lnq = np.log1p(-u)
+    big = -lnq
+    x_big = big + np.log1p(big + 0.5 * big * big)
+    x_big = big + np.log1p(x_big + 0.5 * x_big * x_big)
+    x = np.where(u < 0.9, np.cbrt(6.0 * u), x_big)
+    for _ in range(8):
+        t = x * (1.0 + 0.5 * x)
+        phi = -x + np.log1p(t) - lnq
+        dphi = -(0.5 * x * x) / (1.0 + t)
+        safe = dphi != 0.0
+        x = x - np.where(safe, phi / np.where(safe, dphi, 1.0), 0.0)
+        x = np.maximum(x, 1e-300)
+    return 0.5 * x
 
 
-def test_backends_agree_statistically(monkeypatch):
-    default = mc_two_electron("k", 1.67, 100_000, 5)
-    monkeypatch.setenv("H2E_NO_NUMBA", "1")
-    fallback = mc_two_electron("k", 1.67, 100_000, 5)
-    # same uniforms, same arithmetic; only libm rounding may differ
-    assert fallback.mean == pytest.approx(default.mean, rel=1e-9)
-    assert fallback.stderr == pytest.approx(default.stderr, rel=1e-6)
-    again = mc_two_electron("k", 1.67, 100_000, 5)
-    assert again.mean == fallback.mean
+def _reference_positions(u3, center_z):
+    r = _reference_radius(u3[:, 0])
+    cz = 2.0 * u3[:, 1] - 1.0
+    ph = 2.0 * math.pi * u3[:, 2]
+    st = np.sqrt(np.maximum(1.0 - cz * cz, 0.0))
+    return (r * st * np.cos(ph), r * st * np.sin(ph), center_z + r * cz)
+
+
+def _reference_sech(d):
+    e = np.exp(-np.abs(d))
+    return 2.0 * e / (1.0 + e * e)
+
+
+def _reference_samples(kind, s, u):
+    n = u.shape[0]
+    if kind == "j":
+        c1, c2 = np.zeros(n), np.full(n, s)
+    elif kind == "m":
+        c1, c2 = np.zeros(n), np.zeros(n)
+    else:
+        c1, c2 = np.where(u[:, 3] < 0.5, 0.0, s), np.where(u[:, 7] < 0.5, 0.0, s)
+    x1, y1, z1 = _reference_positions(u[:, 0:3], c1)
+    x2, y2, z2 = _reference_positions(u[:, 4:7], c2)
+    inv = 1.0 / np.sqrt((x1 - x2) ** 2 + (y1 - y2) ** 2 + (z1 - z2) ** 2)
+    if kind in ("j", "m"):
+        return inv
+    da1 = np.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+    db1 = np.sqrt(x1 * x1 + y1 * y1 + (z1 - s) ** 2)
+    da2 = np.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
+    db2 = np.sqrt(x2 * x2 + y2 * y2 + (z2 - s) ** 2)
+    sech2 = _reference_sech(da2 - db2)
+    if kind == "k":
+        return _reference_sech(da1 - db1) * sech2 * inv
+    return (1.0 - np.tanh(da1 - db1)) * sech2 * inv
+
+
+def test_radius_matches_reference_bitwise():
+    u = np.random.default_rng(21).random(200_003)
+    u[:6] = (1e-16, 1.0 - 1e-16, 0.9, np.nextafter(0.9, 0.0), 0.5, 0.0)
+    assert np.array_equal(kernels.radius_from_uniform(u), _reference_radius(u))
+
+
+@pytest.mark.parametrize("kind", ["j", "k", "l", "m"])
+@pytest.mark.parametrize("s", [0.5, 1.67, 8.0])
+def test_kernel_matches_reference_bitwise(kind, s):
+    u = np.random.default_rng(17).random((20_011, 8))
+    u[0, 0], u[1, 4], u[2, 0], u[3, 4] = 1e-16, 1.0 - 1e-16, 0.9, np.nextafter(0.9, 0.0)
+    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+    got = kernels.integrand_samples(kernels.KIND_CODES[kind], s, u)
+    assert np.array_equal(got, _reference_samples(kind, s, u))
+
+
+@pytest.mark.parametrize("kind", ["j", "k", "l", "m"])
+def test_mc_blocks_match_one_whole_draw(kind, monkeypatch):
+    # several full blocks and a short tail, against one (n, 8) draw
+    n = 3 * BLOCK_ROWS + 1001
+    u = np.random.default_rng(13).random((n, 8))
+    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+    whole = kernels.integrand_samples(kernels.KIND_CODES[kind], 1.67, u)
+    seen = []
+
+    def recording(*args):
+        seen.append(kernels.integrand_samples(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "integrand_samples", recording)
+    est = mc_two_electron(kind, 1.67, n, 13)
+    assert [len(v) for v in seen] == [BLOCK_ROWS] * 3 + [1001]
+    assert np.array_equal(np.concatenate(seen), whole)
+    assert est.mean == float(np.mean(whole))
+    assert est.stderr == float(np.std(whole, ddof=1) / math.sqrt(n))
 
 
 def test_oracle_e1_frozen_values():
