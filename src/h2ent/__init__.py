@@ -11,28 +11,30 @@ internuclear distance s = R/a0:
   form, exposed through the `h2e verify` command.
 """
 
-from .specfun import EULER_GAMMA, binary_entropy, euler_gamma, exp_integral_e1
+from .specfun import EULER_GAMMA, binary_entropy, exp_integral_e1, exp_integral_e1_array
 from .integrals import (IntegralSet, coulomb_j, exchange_k, hybrid_l, integral_set,
-                        jprime, kprime, one_center_m, overlap, s_prime)
+                        integral_table, jprime, kprime, one_center_m, overlap, s_prime)
 from .entanglement import (AntisymW, SlaterSpectrum, concurrence4, make_antisym,
                            reduced_density, slater_decompose, slater_rank,
                            von_neumann_entropy)
-from .ci import (E1S, CiSolution, HamiltonianBlock, ci_solve, ground_concurrence,
-                 ground_entropy, h11, hamiltonian_block, solve_block, w_from_ci)
+from .ci import (E1S, CiSolution, HamiltonianBlock, block_table, ci_solve, ci_table,
+                 ground_concurrence, ground_entropy, hamiltonian_block, solve_block,
+                 solve_table, w_from_ci)
 from .oracle import McEstimate, mc_two_electron, oracle_e1, quad_one_electron
-from .scan import ScanConfig, ScanRecord, record_at, scan_records
+from .scan import ScanConfig, ScanRecord, record_at, scan_records, scan_table
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "EULER_GAMMA", "euler_gamma", "exp_integral_e1", "binary_entropy",
+    "EULER_GAMMA", "exp_integral_e1", "exp_integral_e1_array", "binary_entropy",
     "IntegralSet", "overlap", "s_prime", "jprime", "kprime", "coulomb_j",
-    "exchange_k", "hybrid_l", "one_center_m", "integral_set",
+    "exchange_k", "hybrid_l", "one_center_m", "integral_set", "integral_table",
     "AntisymW", "SlaterSpectrum", "make_antisym", "concurrence4",
     "slater_decompose", "slater_rank", "reduced_density", "von_neumann_entropy",
-    "E1S", "HamiltonianBlock", "CiSolution", "h11", "hamiltonian_block",
-    "solve_block", "ci_solve", "w_from_ci", "ground_concurrence", "ground_entropy",
+    "E1S", "HamiltonianBlock", "CiSolution", "hamiltonian_block", "solve_block",
+    "ci_solve", "block_table", "solve_table", "ci_table", "w_from_ci",
+    "ground_concurrence", "ground_entropy",
     "McEstimate", "quad_one_electron", "mc_two_electron", "oracle_e1",
-    "ScanConfig", "ScanRecord", "record_at", "scan_records",
+    "ScanConfig", "ScanRecord", "record_at", "scan_records", "scan_table",
 ]

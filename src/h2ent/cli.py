@@ -20,8 +20,7 @@ from .ci import H22_VARIANTS
 from .integrals import coulomb_j, exchange_k, hybrid_l, one_center_m, overlap, jprime, kprime
 from .oracle import mc_two_electron, oracle_e1, quad_one_electron
 from .scan import (FIG3_DEFAULT_STEPS, FIGURES, SCAN_FIELDS, ScanConfig, UNIT_FACTORS,
-                   figure_table, grid_values, record_at, render_csv, render_json,
-                   scan_records)
+                   figure_table, record_at, render_csv, render_json, scan_table)
 from .specfun import exp_integral_e1
 from ._mc_kernels import active_backend
 
@@ -113,10 +112,11 @@ def _check_parallel(value) -> None:
         raise ValueError(f"parallel must be >= 1, got {n}")
 
 
-def _require_finite(fields, rows) -> None:
-    for row in rows:
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"non-finite result at {fields[0]} = {row[0]!r}")
+def _require_finite(fields, table) -> None:
+    finite = np.isfinite(table)
+    if not finite.all():
+        first = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"non-finite result at {fields[0]} = {float(table[first, 0])!r}")
 
 
 def _refuse_evaluation(exc: Exception) -> int:
@@ -144,7 +144,7 @@ def _cmd_point(args) -> int:
         return EXIT_USAGE
     try:
         rec = record_at(args.s, args.h22, args.unit)
-        _require_finite(SCAN_FIELDS, [rec.values()])
+        _require_finite(SCAN_FIELDS, np.array([rec.values()]))
     except (ArithmeticError, ValueError) as exc:
         return _refuse_evaluation(exc)
     lines = [f"unit = {args.unit}", f"h22 = {args.h22}"]
@@ -164,14 +164,12 @@ def _cmd_scan(args) -> int:
         _err(str(exc))
         return EXIT_USAGE
     try:
-        rows = [r.values() for r in scan_records(config)]
-        _require_finite(SCAN_FIELDS, rows)
+        table = scan_table(config)
+        _require_finite(SCAN_FIELDS, table)
     except (ArithmeticError, ValueError) as exc:
         return _refuse_evaluation(exc)
-    if config.format == "csv":
-        text = render_csv(SCAN_FIELDS, rows)
-    else:
-        text = render_json(SCAN_FIELDS, rows)
+    render = render_csv if config.format == "csv" else render_json
+    text = render(SCAN_FIELDS, table)
     return _write_output(text, args.out)
 
 
@@ -188,21 +186,21 @@ def _cmd_figure(args) -> int:
         _err(str(exc))
         return EXIT_USAGE
     try:
-        fields, rows = figure_table(args.which, config)
-        _require_finite(fields, rows)
+        fields, table = figure_table(args.which, config)
+        _require_finite(fields, table)
     except (ArithmeticError, ValueError) as exc:
         return _refuse_evaluation(exc)
-    return _write_output(render_csv(fields, rows), args.out)
+    return _write_output(render_csv(fields, table), args.out)
 
 
 def _ci_minimum(variant: str):
-    """(min e_ci, argmin s) in rydberg relative to 2 E1s, on a fine grid."""
-    best_e, best_s = math.inf, math.nan
-    for s in grid_values(1.0, 2.5, 1501):
-        e = record_at(s, variant, "rydberg").e_ci
-        if e < best_e:
-            best_e, best_s = e, s
-    return best_e, best_s
+    """(min e_ci, argmin s) in rydberg relative to 2 E1s, on a fine grid;
+    the first of equal minima."""
+    table = scan_table(ScanConfig(s_min=1.0, s_max=2.5, steps=1501, unit="rydberg",
+                                  h22_variant=variant))
+    e_ci = table[:, SCAN_FIELDS.index("e_ci")]
+    best = int(np.argmin(e_ci))
+    return float(e_ci[best]), float(table[best, 0])
 
 
 def _cmd_verify(args) -> int:

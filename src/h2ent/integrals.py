@@ -16,12 +16,17 @@ j, k, l, m carry the 1/r12 electron repulsion.  The exchange integral k is
 the only transcendental one; it needs E1 and Euler's constant.  Every closed
 form here is validated against the independent quadrature / Monte Carlo
 oracle (see the oracle module and `h2e verify`).
+
+integral_table evaluates the same closed forms with numpy on an array of
+distances, in the same order of operations, for grids.
 """
 
 import math
 from dataclasses import dataclass
 
-from .specfun import EULER_GAMMA, exp_integral_e1
+import numpy as np
+
+from .specfun import EULER_GAMMA, exp_integral_e1, exp_integral_e1_array
 
 __all__ = [
     "IntegralSet",
@@ -34,6 +39,7 @@ __all__ = [
     "hybrid_l",
     "one_center_m",
     "integral_set",
+    "integral_table",
 ]
 
 # Below this reduced distance the exchange closed form is replaced by a
@@ -112,7 +118,11 @@ def _exchange_closed(s: float) -> float:
     return (_exchange_a(s) - _exchange_b(s)) / 5.0
 
 
-_K_AT_CUTOFF = None  # lazy cache of the closed form at EXCHANGE_SMALL_S
+_K_AT_CUTOFF = _exchange_closed(EXCHANGE_SMALL_S)
+
+
+def _exchange_blend(s):
+    return _ONE_CENTER + (_K_AT_CUTOFF - _ONE_CENTER) * (s / EXCHANGE_SMALL_S)
 
 
 def exchange_k(s: float) -> float:
@@ -124,12 +134,9 @@ def exchange_k(s: float) -> float:
     of A eats precision, so the value is blended linearly between the exact
     coincidence limit 5/8 at s = 0 and the closed form at s = 1e-3.
     """
-    global _K_AT_CUTOFF
     s = _require_positive(s, "exchange_k")
     if s < EXCHANGE_SMALL_S:
-        if _K_AT_CUTOFF is None:
-            _K_AT_CUTOFF = _exchange_closed(EXCHANGE_SMALL_S)
-        return _ONE_CENTER + (_K_AT_CUTOFF - _ONE_CENTER) * (s / EXCHANGE_SMALL_S)
+        return _exchange_blend(s)
     return _exchange_closed(s)
 
 
@@ -177,4 +184,35 @@ def integral_set(s: float) -> IntegralSet:
         k=exchange_k(s),
         l=hybrid_l(s),
         m=one_center_m(),
+    )
+
+
+def integral_table(s) -> IntegralSet:
+    """Every integral on an array of reduced distances s > 0.
+
+    Returns an IntegralSet whose fields are arrays shaped like s (m is the
+    scalar 5/8).  Non-finite values from overflow are returned, not raised;
+    callers that need finite results check them.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if not (np.isfinite(s).all() and (s > 0.0).all()):
+        raise ValueError("integral_table requires finite s > 0 everywhere")
+    e1, e2 = np.exp(-s), np.exp(-2.0 * s)
+    one_minus_e2 = -np.expm1(-2.0 * s)
+    ss = (1.0 + s + s * s / 3.0) * e1
+    sp = (1.0 - s + s * s / 3.0) * np.exp(s)
+    bracket = ((EULER_GAMMA + np.log(s)) * ss * ss
+               - exp_integral_e1_array(4.0 * s) * sp * sp
+               + 2.0 * exp_integral_e1_array(2.0 * s) * ss * sp)
+    closed_k = ((6.0 / s) * bracket
+                - (-25.0 / 8.0 + 23.0 / 4.0 * s + 3.0 * s * s + s ** 3 / 3.0) * e2) / 5.0
+    return IntegralSet(
+        s=s,
+        S=ss,
+        jp=(one_minus_e2 - s * e2) / s,
+        kp=(1.0 + s) * e1,
+        j=one_minus_e2 / s - (11.0 / 8.0 + 0.75 * s + s * s / 6.0) * e2,
+        k=np.where(s < EXCHANGE_SMALL_S, _exchange_blend(s), closed_k),
+        l=s * e1 + (0.125 + 5.0 / (16.0 * s)) * e1 * one_minus_e2,
+        m=_ONE_CENTER,
     )

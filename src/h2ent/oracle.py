@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._mc_kernels import KIND_CODES, integrand_samples
 
@@ -77,6 +76,8 @@ def quad_one_electron(kind: str, s: float, tol: float = 1e-8) -> float:
     RuntimeError
         If the achieved error estimate exceeds ``tol``.
     """
+    from scipy.integrate import quad  # deferred: scipy is slow to import
+
     s = _require_positive_s(s)
     if kind == "overlap":
         # (1/pi) e^{-s mu} over the two-center volume element
@@ -148,6 +149,8 @@ def oracle_e1(x: float, tol: float = 1e-13) -> float:
     RuntimeError
         If the achieved error estimate exceeds ``tol`` relative accuracy.
     """
+    from scipy.integrate import quad  # deferred: scipy is slow to import
+
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"oracle_e1 requires finite x > 0, got {x!r}")

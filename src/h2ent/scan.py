@@ -5,13 +5,19 @@ converted from Hartree to the selected output unit.  Rows are rendered with
 12 significant digits, '.' decimal separator and LF line endings; identical
 configurations produce byte-identical output, because every grid point is a
 pure function of (s, variant, unit) and rows are emitted in grid order.
+
+A grid is evaluated as one (n, 8) float64 table (scan_table), from the
+integrals to the entanglement columns in numpy, and rendered in one pass;
+record_at is the scalar evaluation of a single point.
 """
 
 import json
 import math
 from dataclasses import dataclass
 
-from .ci import E1S, H22_VARIANTS, ci_solve, ground_concurrence, ground_entropy
+import numpy as np
+
+from .ci import E1S, H22_VARIANTS, ci_solve, ci_table, ground_concurrence, ground_entropy
 
 __all__ = [
     "UNIT_FACTORS",
@@ -20,6 +26,7 @@ __all__ = [
     "ScanRecord",
     "record_at",
     "grid_values",
+    "scan_table",
     "scan_records",
     "render_csv",
     "render_json",
@@ -102,39 +109,78 @@ def record_at(s: float, variant: str = "corrected", unit: str = "rydberg") -> Sc
     )
 
 
-def grid_values(s_min: float, s_max: float, steps: int):
-    """Uniform inclusive grid of `steps` points on [s_min, s_max]."""
+def grid_values(s_min: float, s_max: float, steps: int) -> np.ndarray:
+    """Uniform inclusive grid of `steps` points on [s_min, s_max]: s_min + i h."""
     h = (s_max - s_min) / (steps - 1)
-    return [s_min + i * h for i in range(steps)]
+    return s_min + np.arange(steps) * h
+
+
+def scan_table(config: ScanConfig) -> np.ndarray:
+    """All sweep rows as an (n, 8) float64 array, columns in SCAN_FIELDS order.
+
+    Rows are ordered by s.  Points the float64 closed forms cannot evaluate
+    come out non-finite (without floating-point warnings), so callers check
+    np.isfinite(table).all().
+    """
+    config.validate()
+    s = grid_values(config.s_min, config.s_max, config.steps)
+    factor = UNIT_FACTORS[config.unit]
+    table = np.empty((len(s), len(SCAN_FIELDS)))
+    with np.errstate(all="ignore"):
+        sol = ci_table(s, config.h22_variant)
+        c1, c2 = sol.c1, sol.c2
+        table[:, 0] = s
+        table[:, 1] = (sol.e_psi1 - 2.0 * E1S) * factor
+        table[:, 2] = (sol.e_psi2 - 2.0 * E1S) * factor
+        table[:, 3] = (sol.e_ground - 2.0 * E1S) * factor
+        table[:, 4] = c1 * c1
+        table[:, 5] = c2 * c2
+        table[:, 6] = 2.0 * np.abs(c1 * c2)
+        # ground_entropy: 1 + binary entropy of c1^2, 0 log 0 = 0
+        p = np.clip(table[:, 4], 0.0, 1.0)
+        q = 1.0 - p
+        table[:, 7] = 1.0 + np.where((p == 0.0) | (p == 1.0), 0.0,
+                                     -p * np.log2(p) - q * np.log2(q))
+    return table
 
 
 def scan_records(config: ScanConfig):
-    """All sweep rows, strictly ordered by s."""
-    config.validate()
-    grid = grid_values(config.s_min, config.s_max, config.steps)
-    return [record_at(s, config.h22_variant, config.unit) for s in grid]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    """All sweep rows of scan_table as ScanRecords, strictly ordered by s."""
+    return [ScanRecord(*row) for row in scan_table(config).tolist()]
 
 
 def render_csv(fields, rows) -> str:
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Header and rows (an (n, len(fields)) table) as CSV, '%.12g' per value."""
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, len(fields))
+    line = ",".join(["%.12g"] * len(fields)) + "\n"
+    return ",".join(fields) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+
+
+def _json_number(token: str) -> str:
+    # json.dumps prints repr(float(token)).  For a normal float that repr has
+    # the digits of the '%.12g' token (decimals of <= 15 digits round-trip),
+    # and the same notation except for integral values ("10" vs "10.0"),
+    # exponents 12..15 and nan/inf; those, and the subnormal range (e-3xx),
+    # go through json itself
+    if ("." in token or "e-" in token) and "+" not in token and "e-3" not in token:
+        return token
+    return json.dumps(float(token))
 
 
 def render_json(fields, rows) -> str:
-    out = []
-    for row in rows:
-        out.append({k: float(_fmt(v)) for k, v in zip(fields, row)})
-    return json.dumps(out, indent=1) + "\n"
+    """Rows as a JSON list of objects, the bytes of json.dumps(..., indent=1)
+    of the rows rounded to 12 significant digits."""
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, len(fields))
+    if len(table) == 0:
+        return "[]\n"
+    tokens = ("%.12g," * table.size % tuple(table.ravel().tolist())).split(",")[:-1]
+    numbers = [_json_number(tok) for tok in tokens]
+    obj = "{\n" + ",\n".join(f"  {json.dumps(f)}: %s" for f in fields) + "\n }"
+    return "[\n " + ",\n ".join([obj] * len(table)) % tuple(numbers) + "\n]\n"
 
 
 def figure_table(which: str, config: ScanConfig):
-    """(field names, rows) for one of the four standard figures.
+    """(field names, table) for one of the four standard figures.
 
     fig1: (s, e_psi1, e_ci)      bonding-configuration vs CI energy
     fig2: (s, c1_sq, c2_sq)      CI coefficient squares
@@ -145,15 +191,9 @@ def figure_table(which: str, config: ScanConfig):
         raise ValueError(f"unknown figure {which!r}; expected one of {FIGURES}")
     if which == "fig3":
         config.validate()
-        h = 1.0 / (config.steps - 1)
-        rows = []
-        for i in range(config.steps):
-            c1 = i * h
-            rows.append((c1, 2.0 * abs(c1) * math.sqrt(max(1.0 - c1 * c1, 0.0))))
-        return ("c1", "concurrence"), rows
-    records = scan_records(config)
-    if which == "fig1":
-        return ("s", "e_psi1", "e_ci"), [(r.s, r.e_psi1, r.e_ci) for r in records]
-    if which == "fig2":
-        return ("s", "c1_sq", "c2_sq"), [(r.s, r.c1_sq, r.c2_sq) for r in records]
-    return ("s", "e_ci", "concurrence"), [(r.s, r.e_ci, r.concurrence) for r in records]
+        c1 = grid_values(0.0, 1.0, config.steps)
+        conc = 2.0 * np.abs(c1) * np.sqrt(np.maximum(1.0 - c1 * c1, 0.0))
+        return ("c1", "concurrence"), np.column_stack((c1, conc))
+    fields = {"fig1": ("s", "e_psi1", "e_ci"), "fig2": ("s", "c1_sq", "c2_sq"),
+              "fig4": ("s", "e_ci", "concurrence")}[which]
+    return fields, scan_table(config)[:, [SCAN_FIELDS.index(f) for f in fields]]

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from h2ent.ci import (E1S, HamiltonianBlock, ci_solve, ground_concurrence,
-                      ground_entropy, h11, hamiltonian_block, solve_block, w_from_ci)
+import h2ent.ci
+from h2ent.ci import (E1S, HamiltonianBlock, block_table, ci_solve, ci_table,
+                      ground_concurrence, ground_entropy, hamiltonian_block, solve_block,
+                      solve_table, w_from_ci)
 from h2ent.entanglement import concurrence4, slater_decompose, von_neumann_entropy
 from h2ent.integrals import integral_set
 from h2ent.specfun import binary_entropy
@@ -20,17 +22,19 @@ def energy_of_angle(block, omega):
 
 def test_h11_near_equilibrium():
     # frozen; the shallow minimum of the single-configuration curve
-    assert h11(1.67) - 2.0 * E1S == pytest.approx(-0.09839885086607802, abs=1e-12)
+    assert (hamiltonian_block(1.67).h11 - 2.0 * E1S
+            == pytest.approx(-0.09839885086607802, abs=1e-12))
 
 
 def test_h11_repulsive_wall():
-    assert h11(0.1) > h11(1.0)
+    assert hamiltonian_block(0.1).h11 > hamiltonian_block(1.0).h11
 
 
 def test_h11_dissociation_tail():
     # tends to m/2 above 2 E1S, approached through a -1/(2s) ionic tail
-    assert h11(20.0) - 2.0 * E1S == pytest.approx(5.0 / 16.0 - 1.0 / 40.0, abs=1e-6)
-    assert h11(500.0) - 2.0 * E1S == pytest.approx(5.0 / 16.0, abs=1.1e-3)
+    assert (hamiltonian_block(20.0).h11 - 2.0 * E1S
+            == pytest.approx(5.0 / 16.0 - 1.0 / 40.0, abs=1e-6))
+    assert hamiltonian_block(500.0).h11 - 2.0 * E1S == pytest.approx(5.0 / 16.0, abs=1.1e-3)
 
 
 def test_block_symmetric_and_positive_coupling():
@@ -116,6 +120,53 @@ def test_ground_eigenvector_sign_follows_coupling():
                                       variant="corrected"))
     assert up.c2 < 0.0 < dn.c2
     assert up.c2 * 0.3 <= 0.0 and dn.c2 * (-0.3) <= 0.0
+
+
+# (h11, h12, h22): decoupled, degenerate, symmetric mixing, both coupling
+# signs, H11 above H22
+HAND_BLOCKS = [(-1.0, 0.0, 1.0), (0.5, 0.0, 0.5), (0.3, 0.2, 0.3), (0.0, 0.3, 1.0),
+               (0.0, -0.3, 1.0), (1.0, 0.3, 0.0), (-0.4, 1e-9, 2.0)]
+
+
+def test_solve_table_matches_solve_block_elementwise():
+    h11, h12, h22 = (np.array(col) for col in zip(*HAND_BLOCKS))
+    s = np.arange(1.0, len(HAND_BLOCKS) + 1.0)
+    table = solve_table(HamiltonianBlock(s=s, h11=h11, h12=h12, h21=h12, h22=h22,
+                                         variant="corrected"))
+    for i, (a, b, d) in enumerate(HAND_BLOCKS):
+        sol = solve_block(HamiltonianBlock(s=s[i], h11=a, h12=b, h21=b, h22=d,
+                                           variant="corrected"))
+        assert table.c1[i] >= 0.0
+        assert table.degenerate[i] == sol.degenerate
+        for field in ("c1", "c2", "e_ground", "e_psi1", "e_psi2"):
+            assert getattr(table, field)[i] == pytest.approx(getattr(sol, field), abs=1e-15)
+
+
+def test_ci_table_matches_ci_solve_on_grid():
+    for variant in ("corrected", "printed"):
+        block = block_table(GRID, variant)
+        table = ci_table(GRID, variant)
+        for i, s in enumerate(GRID.tolist()):
+            ref = hamiltonian_block(s, variant)
+            assert block.h12[i] == block.h21[i]
+            for field in ("h11", "h12", "h22"):
+                assert getattr(block, field)[i] == pytest.approx(getattr(ref, field),
+                                                                 rel=1e-12, abs=1e-13)
+            sol = ci_solve(s, variant)
+            assert table.c1[i] == pytest.approx(sol.c1, abs=1e-12)
+            assert table.c2[i] == pytest.approx(sol.c2, abs=1e-12)
+            assert table.e_ground[i] == pytest.approx(sol.e_ground, rel=1e-12, abs=1e-13)
+    with pytest.raises(ValueError):
+        block_table(GRID, "typo")
+
+
+def test_solve_table_closed_form_guard_raises(monkeypatch):
+    # a negative tolerance fails every element with H11 < H22, as in solve_block
+    monkeypatch.setattr(h2ent.ci, "_CLOSED_FORM_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="closed-form"):
+        ci_table(GRID)
+    with pytest.raises(RuntimeError, match="closed-form"):
+        ci_solve(1.0)
 
 
 def test_dissociation_limit():

@@ -82,11 +82,14 @@ def test_point_refuses_non_finite_record(capsys, monkeypatch):
     ["scan", "--s-min", "1e-9", "--s-max", "1", "--steps", "5", "--format", "json"],
     ["figure", "--which", "fig4", "--s-min", "1", "--s-max", "800", "--steps", "5"],
 ])
-def test_grid_commands_refuse_unevaluable_distances(command, capsys):
-    code, out, err = run_cli(command, capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("h2e: error: ")
+def test_grid_commands_refuse_unevaluable_distances(command):
+    # in a fresh interpreter, so that any warning would reach stderr
+    proc = subprocess.run([sys.executable, "-m", "h2ent", *command],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("h2e: error: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 # ---------------------------------------------------------------- scan
@@ -301,6 +304,20 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("h2e ")
+
+
+def test_point_and_scan_do_not_import_scipy():
+    # scipy serves only the verify oracle; it is imported on first use
+    code = ("import sys, io, contextlib\n"
+            "import h2ent.cli\n"
+            "assert 'scipy' not in sys.modules, 'import h2ent.cli'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert h2ent.cli.main(['point', '--s', '1.5']) == 0\n"
+            "    assert h2ent.cli.main(['scan', '--s-min', '1', '--s-max', '2',"
+            " '--steps', '5']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'point/scan'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_available():

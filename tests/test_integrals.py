@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from h2ent.integrals import (EXCHANGE_SMALL_S, coulomb_j, exchange_k, hybrid_l,
-                             integral_set, jprime, kprime, one_center_m, overlap,
-                             s_prime)
+                             integral_set, integral_table, jprime, kprime, one_center_m,
+                             overlap, s_prime)
 from h2ent.oracle import mc_two_electron, quad_one_electron
 
 GRID = np.linspace(0.05, 20.0, 80)
@@ -115,6 +115,32 @@ def test_integral_set_bundles_members():
     assert q.k == exchange_k(1.67)
     assert q.l == hybrid_l(1.67)
     assert q.m == 0.625
+
+
+def test_integral_table_matches_integral_set():
+    # through the s < 1e-3 exchange blend, the crossover and the far tail
+    s = np.concatenate([np.geomspace(1e-6, 0.99 * EXCHANGE_SMALL_S, 9),
+                        [EXCHANGE_SMALL_S], np.geomspace(1.01e-3, 0.3, 20),
+                        GRID, np.geomspace(20.5, 600.0, 20)])
+    table = integral_table(s)
+    for i, si in enumerate(s.tolist()):
+        ref = integral_set(si)
+        assert table.s[i] == si
+        assert table.m == ref.m
+        for name in ("S", "jp", "kp", "j", "l"):
+            assert getattr(table, name)[i] == pytest.approx(getattr(ref, name),
+                                                            rel=1e-14, abs=1e-300), name
+        # k's closed form cancels log-divergent terms, which amplify an ulp
+        # of numpy's log or exp about a thousandfold near s = 1e-3
+        assert table.k[i] == pytest.approx(ref.k, rel=1e-12 if si < 0.3 else 1e-14)
+        if si < EXCHANGE_SMALL_S:
+            assert table.k[i] == ref.k
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_integral_table_domain_errors(bad):
+    with pytest.raises(ValueError):
+        integral_table(np.array([1.0, bad]))
 
 
 def test_integral_set_m_is_distance_independent():

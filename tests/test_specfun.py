@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from h2ent.oracle import oracle_e1
-from h2ent.specfun import EULER_GAMMA, binary_entropy, euler_gamma, exp_integral_e1
+from h2ent.specfun import EULER_GAMMA, binary_entropy, exp_integral_e1, exp_integral_e1_array
 
 
 def test_e1_at_one():
@@ -53,6 +53,40 @@ def test_e1_domain_errors(bad):
         exp_integral_e1(bad)
 
 
+def test_e1_array_matches_scalar_within_4_ulp():
+    # the scalar's own arguments of both regimes, from 2e-4 to 2800 (where
+    # e^-x underflows and both give 0)
+    x = np.logspace(math.log10(2e-4), math.log10(2800.0), 200_000)
+    array = exp_integral_e1_array(x)
+    scalar = np.array([exp_integral_e1(v) for v in x.tolist()])
+    assert np.all(np.abs(array - scalar) <= 4.0 * np.spacing(scalar))
+
+
+def test_e1_array_keeps_shape_and_regime_crossover():
+    x = np.array([[1.0, 1.0 + 1e-13], [0.5, 2.0]])
+    out = exp_integral_e1_array(x)
+    assert out.shape == (2, 2)
+    assert out[0, 0] == exp_integral_e1(1.0)
+    assert abs(out[0, 0] - out[0, 1]) <= 1e-13
+    assert exp_integral_e1_array(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_e1_array_domain_errors(bad):
+    with pytest.raises(ValueError):
+        exp_integral_e1_array(np.array([1.0, bad]))
+
+
+def test_e1_array_raises_when_the_fraction_does_not_converge(monkeypatch):
+    import h2ent.specfun as specfun
+
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 5)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        specfun.exp_integral_e1_array(np.array([0.5, 1.5, 100.0]))
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        specfun.exp_integral_e1(1.5)
+
+
 def _gamma_richardson(n0=10_000, levels=7):
     # limit of H_N - ln N, accelerated over N = n0 * 2^i
     terms = [1.0 / k for k in range(1, n0 * 2 ** (levels - 1) + 1)]
@@ -67,12 +101,11 @@ def _gamma_richardson(n0=10_000, levels=7):
 
 
 def test_euler_gamma_against_accelerated_limit():
-    assert abs(_gamma_richardson() - euler_gamma()) < 1e-12
+    assert abs(_gamma_richardson() - EULER_GAMMA) < 1e-12
 
 
 def test_euler_gamma_value_and_determinism():
-    assert euler_gamma() == 0.5772156649015329
-    assert euler_gamma() == euler_gamma()
+    assert EULER_GAMMA == 0.5772156649015329
 
 
 def test_euler_gamma_consistent_with_e1_zero_limit():
