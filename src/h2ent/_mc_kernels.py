@@ -4,9 +4,10 @@ two-electron integrals, vectorized with numpy over a block of samples.
 Bit-identity invariant: every step is elementwise in the sample index and
 every transcendental function runs on a contiguous float64 array, so the
 value of a sample is a deterministic function of its own row of uniforms
-only.  Evaluating an (n, 8) array in row blocks gives exactly the values of
-evaluating it in one piece; the oracle relies on this to keep its working
-set cache-sized without changing any estimate.
+only, and no step reads or writes state shared between calls.  Evaluating
+an (n, 8) array in row blocks, in any order and on any thread, gives exactly
+the values of evaluating it in one piece; the oracle relies on this to keep
+each worker's working set cache-sized without changing any estimate.
 
 Sampling: electron positions are drawn from 1s probability densities by
 inverting the closed-form radial CDF.  With x = 2r the complementary CDF is

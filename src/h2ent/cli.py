@@ -2,7 +2,8 @@
 data and oracle verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
-input the float64 closed forms cannot evaluate), 3 I/O error.  Data goes to
+input the float64 closed forms cannot evaluate, or a distance below
+MIN_DISTANCE, where they lose digits), 3 I/O error.  Data goes to
 stdout or --out; diagnostics go to stderr.  Output is deterministic:
 identical arguments give byte-identical bytes.  --parallel (and
 $H2E_PARALLEL) is validated but evaluation is always serial.
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .ci import H22_VARIANTS
 from .integrals import coulomb_j, exchange_k, hybrid_l, one_center_m, overlap, jprime, kprime
-from .oracle import mc_two_electron, oracle_e1, quad_one_electron
+from .oracle import MIN_SAMPLES, mc_two_electron, oracle_e1, quad_one_electron
 from .scan import (FIG3_DEFAULT_STEPS, FIGURES, SCAN_FIELDS, ScanConfig, UNIT_FACTORS,
                    figure_table, record_at, render_csv, render_json, scan_table)
 from .specfun import exp_integral_e1
@@ -37,6 +38,10 @@ E1_REL_TOL = 1e-12
 MC_SIGMA_MAX = 1e-3
 ARBITRATION_TARGET = -0.237   # rydberg, relative to 2 E1s
 ARBITRATION_TOL = 0.010
+# smallest reduced distance point/scan/figure accept: the H22 closed form
+# is off by 1.4e-6 relative at s = 1e-2 and by 9% at 1e-3, and below about
+# 1e-8 the energies run off to -1e19 or divide by zero
+MIN_DISTANCE = 1e-2
 
 _CLOSED = {"overlap": overlap, "jprime": jprime, "kprime": kprime,
            "j": coulomb_j, "k": exchange_k, "l": hybrid_l}
@@ -112,6 +117,12 @@ def _check_parallel(value) -> None:
         raise ValueError(f"parallel must be >= 1, got {n}")
 
 
+def _check_distance(option: str, s: float) -> None:
+    if s < MIN_DISTANCE:
+        raise ValueError(f"{option} must be >= {MIN_DISTANCE:g}, where the closed forms "
+                         f"lose digits, got {s!r}")
+
+
 def _require_finite(fields, table) -> None:
     finite = np.isfinite(table)
     if not finite.all():
@@ -139,8 +150,12 @@ def _write_output(text: str, out_path) -> int:
 
 
 def _cmd_point(args) -> int:
-    if not (math.isfinite(args.s) and args.s > 0.0):
-        _err(f"--s must be finite and > 0, got {args.s!r}")
+    try:
+        if not (math.isfinite(args.s) and args.s > 0.0):
+            raise ValueError(f"--s must be finite and > 0, got {args.s!r}")
+        _check_distance("--s", args.s)
+    except ValueError as exc:
+        _err(str(exc))
         return EXIT_USAGE
     try:
         rec = record_at(args.s, args.h22, args.unit)
@@ -160,6 +175,7 @@ def _cmd_scan(args) -> int:
         config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=args.steps,
                             unit=args.unit, h22_variant=args.h22, format=args.format)
         config.validate()
+        _check_distance("--s-min", config.s_min)
     except ValueError as exc:
         _err(str(exc))
         return EXIT_USAGE
@@ -182,6 +198,7 @@ def _cmd_figure(args) -> int:
         config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=steps,
                             unit=args.unit, h22_variant=args.h22)
         config.validate()
+        _check_distance("--s-min", config.s_min)
     except ValueError as exc:
         _err(str(exc))
         return EXIT_USAGE
@@ -207,8 +224,8 @@ def _cmd_verify(args) -> int:
     if args.seed < 0:
         _err(f"--seed must be >= 0, got {args.seed}")
         return EXIT_USAGE
-    if args.samples < 10_000:
-        _err(f"--samples must be >= 10000, got {args.samples}")
+    if args.samples < MIN_SAMPLES:
+        _err(f"--samples must be >= {MIN_SAMPLES}, got {args.samples}")
         return EXIT_USAGE
 
     lines = []

@@ -16,12 +16,16 @@ Nothing here reuses the closed forms it checks:
 
 Estimates are reproducible bit-for-bit for a fixed (kind, s, n_samples,
 seed).  The Monte Carlo oracle draws and evaluates its samples in blocks of
-BLOCK_ROWS rows; the generator fills blocks from one sequential stream and
-the kernel is elementwise, so every per-sample value, and hence every mean
-and standard error, is bit-identical to evaluating all samples at once.
+BLOCK_ROWS rows on a small thread pool.  Block `start` draws its uniforms
+from its own PCG64(seed) advanced by 8 * start draws, which are exactly rows
+start ... start + rows of the single stream default_rng(seed).random((n, 8));
+the kernel is elementwise, so the blocks may run in any order and every
+per-sample value, and hence every mean and standard error, is bit-identical
+to evaluating all samples at once.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +37,12 @@ __all__ = ["McEstimate", "quad_one_electron", "mc_two_electron", "oracle_e1"]
 QUAD_KINDS = ("overlap", "jprime", "kprime")
 MC_KINDS = ("j", "k", "l", "m")
 MIN_SAMPLES = 10_000
-# rows of uniforms per kernel call: a 2 MB block, so that every kernel
-# temporary (256 KB per electron, 512 KB for both) is cache-sized
-BLOCK_ROWS = 32_768
+# rows of uniforms per kernel call: a 1 MB block, so that every kernel
+# temporary (128 KB per electron, 256 KB for both) of each worker is
+# cache-sized
+BLOCK_ROWS = 16_384
+# worker threads per estimate at most, so that few blocks are in memory at once
+MAX_WORKERS = 8
 
 # guard against u == 0 / u == 1 in the inverse-CDF transform
 _U_LO = 1e-16
@@ -103,6 +110,26 @@ def quad_one_electron(kind: str, s: float, tol: float = 1e-8) -> float:
     return val
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on, capped at MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, MAX_WORKERS))
+
+
+def _block_uniforms(seed: int, start: int, rows: int) -> np.ndarray:
+    """Rows start ... start + rows of default_rng(seed).random((n, 8)).
+
+    Each float64 consumes one 64-bit PCG64 draw, so row `start` begins
+    8 * start draws into the stream.
+    """
+    bits = np.random.PCG64(seed)
+    bits.advance(8 * start)
+    return np.random.Generator(bits).random((rows, 8))
+
+
 def mc_two_electron(kind: str, s: float, n_samples: int, seed: int) -> McEstimate:
     """Importance-sampled Monte Carlo estimate of a two-electron integral.
 
@@ -111,10 +138,13 @@ def mc_two_electron(kind: str, s: float, n_samples: int, seed: int) -> McEstimat
     mixture (rho_a + rho_b)/2 with exact reweighting for the signed product
     integrands "k" and "l".  The generator is numpy's PCG64 seeded with
     ``seed``; identical arguments reproduce the estimate bit-for-bit.  The
-    samples are drawn and evaluated BLOCK_ROWS rows at a time into one
-    array of per-sample values, so memory is 8 bytes per sample plus one
-    block, and the values equal those of a single (n_samples, 8) draw.
+    samples are drawn and evaluated BLOCK_ROWS rows at a time, each block on
+    a worker thread from its own seekable substream, into one array of
+    per-sample values, so memory is 8 bytes per sample plus one block per
+    worker, and the values equal those of a single (n_samples, 8) draw.
     """
+    from concurrent.futures import ThreadPoolExecutor  # only the oracle uses threads
+
     s = _require_positive_s(s)
     if kind not in MC_KINDS:
         raise ValueError(f"unknown two-electron kind {kind!r}; expected one of {MC_KINDS}")
@@ -122,18 +152,28 @@ def mc_two_electron(kind: str, s: float, n_samples: int, seed: int) -> McEstimat
         raise ValueError(f"n_samples must be an integer >= {MIN_SAMPLES}, got {n_samples!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    rng = np.random.default_rng(int(seed))
+    n, seed = int(n_samples), int(seed)
     code = KIND_CODES[kind]
-    vals = np.empty(int(n_samples))
-    for start in range(0, len(vals), BLOCK_ROWS):
-        u = rng.random((min(BLOCK_ROWS, len(vals) - start), 8))
+    vals = np.empty(n)
+
+    def block(start):
+        u = _block_uniforms(seed, start, min(BLOCK_ROWS, n - start))
         np.clip(u, _U_LO, _U_HI, out=u)
         vals[start:start + len(u)] = integrand_samples(code, s, u)
-    # reduce over the whole array (numpy's pairwise sums); per-block running
-    # sums would change the last bits of the estimate
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-    return McEstimate(mean=mean, stderr=stderr, n_samples=int(n_samples), seed=int(seed))
+
+    # numpy releases the GIL inside the RNG fill and the kernel's ufuncs
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        for _ in pool.map(block, range(0, n, BLOCK_ROWS)):
+            pass
+    # reduce over the whole array (numpy's pairwise sums), with the steps of
+    # np.mean and np.std(ddof=1) but the deviations squared in place in vals;
+    # per-block running sums would change the last bits of the estimate
+    mean = np.add.reduce(vals) / n
+    vals -= mean
+    np.square(vals, out=vals)
+    var = np.add.reduce(vals) / (n - 1)
+    stderr = float(np.sqrt(var) / math.sqrt(n))
+    return McEstimate(mean=float(mean), stderr=stderr, n_samples=n, seed=seed)
 
 
 def oracle_e1(x: float, tol: float = 1e-13) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import shutil
 import subprocess
@@ -19,6 +20,14 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(args):
+    """`python args` in a fresh interpreter that imports this h2ent."""
+    src = str(pathlib.Path(h2ent.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def parse_csv(text):
@@ -68,6 +77,33 @@ def test_point_refuses_unevaluable_distance(s, capsys):
     assert err.startswith("h2e: error: ") and "Traceback" not in err
 
 
+# below MIN_DISTANCE = 1e-2 the closed forms lose digits: at 1e-4 e_ci was
+# -8.1e9 Ry, at 1.585e-9 -6.43e19 Ry with exit 0, and 2.08e-9 divided by zero
+@pytest.mark.parametrize("s", ["1e-4", "1.585e-9", "2.08e-9", "0.00999"])
+def test_point_refuses_distance_below_floor(s, capsys):
+    code, out, err = run_cli(["point", "--s", s], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("h2e: error: --s must be >= 0.01")
+
+
+def test_point_accepts_distance_at_floor(capsys):
+    code, out, _ = run_cli(["point", "--s", repr(h2ent.cli.MIN_DISTANCE)], capsys)
+    assert code == 0 and "e_ci = " in out
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--s-min", "1e-3", "--s-max", "1", "--steps", "5"],
+    ["scan", "--s-min", "1.585e-9", "--s-max", "0.5", "--steps", "50", "--format", "json"],
+    ["figure", "--which", "fig1", "--s-min", "1e-4"],
+])
+def test_grid_commands_refuse_grid_starting_below_floor(command, capsys):
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("h2e: error: --s-min must be >= 0.01")
+
+
 def test_point_refuses_non_finite_record(capsys, monkeypatch):
     real = h2ent.cli.record_at
     monkeypatch.setattr(h2ent.cli, "record_at",
@@ -84,8 +120,7 @@ def test_point_refuses_non_finite_record(capsys, monkeypatch):
 ])
 def test_grid_commands_refuse_unevaluable_distances(command):
     # in a fresh interpreter, so that any warning would reach stderr
-    proc = subprocess.run([sys.executable, "-m", "h2ent", *command],
-                          capture_output=True, text=True)
+    proc = run_python(["-m", "h2ent", *command])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("h2e: error: ")
@@ -300,14 +335,14 @@ def test_verify_rejects_bad_arguments(capsys):
 # ---------------------------------------------------------------- entry points
 
 def test_module_entry_point_runs():
-    proc = subprocess.run([sys.executable, "-m", "h2ent", "--version"],
-                          capture_output=True, text=True)
+    proc = run_python(["-m", "h2ent", "--version"])
     assert proc.returncode == 0
     assert proc.stdout.startswith("h2e ")
 
 
 def test_point_and_scan_do_not_import_scipy():
-    # scipy serves only the verify oracle; it is imported on first use
+    # scipy serves only the verify oracle; it is imported on first use, and
+    # so is the oracle's thread pool
     code = ("import sys, io, contextlib\n"
             "import h2ent.cli\n"
             "assert 'scipy' not in sys.modules, 'import h2ent.cli'\n"
@@ -315,8 +350,12 @@ def test_point_and_scan_do_not_import_scipy():
             "    assert h2ent.cli.main(['point', '--s', '1.5']) == 0\n"
             "    assert h2ent.cli.main(['scan', '--s-min', '1', '--s-max', '2',"
             " '--steps', '5']) == 0\n"
-            "assert 'scipy' not in sys.modules, 'point/scan'\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            "assert 'scipy' not in sys.modules, 'point/scan'\n"
+            # the thread pool serves only the Monte Carlo oracle
+            "import threading\n"
+            "assert 'concurrent.futures' not in sys.modules, 'point/scan'\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n")
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
 
 

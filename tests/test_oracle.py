@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import h2ent._mc_kernels as kernels
 import h2ent.oracle as oracle
 from h2ent.integrals import coulomb_j, exchange_k, hybrid_l, overlap, jprime, kprime
-from h2ent.oracle import BLOCK_ROWS, McEstimate, mc_two_electron, oracle_e1, quad_one_electron
+from h2ent.oracle import (BLOCK_ROWS, MC_KINDS, McEstimate, mc_two_electron, oracle_e1,
+                          quad_one_electron)
 from h2ent.specfun import EULER_GAMMA
 
 S_GRID = (0.5, 1.0, 1.67, 2.0, 4.0, 8.0)
@@ -161,23 +163,59 @@ def test_kernel_matches_reference_bitwise(kind, s):
 
 @pytest.mark.parametrize("kind", ["j", "k", "l", "m"])
 def test_mc_blocks_match_one_whole_draw(kind, monkeypatch):
-    # several full blocks and a short tail, against one (n, 8) draw
+    # several full blocks and a short tail, against one (n, 8) draw; the
+    # blocks run on worker threads in any order, so each is put back at the
+    # position of its first row in the whole draw
     n = 3 * BLOCK_ROWS + 1001
     u = np.random.default_rng(13).random((n, 8))
     np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
     whole = kernels.integrand_samples(kernels.KIND_CODES[kind], 1.67, u)
     seen = []
 
-    def recording(*args):
-        seen.append(kernels.integrand_samples(*args))
-        return seen[-1]
+    def recording(code, s, block):
+        values = kernels.integrand_samples(code, s, block)
+        seen.append((block[0].copy(), values))
+        return values
 
     monkeypatch.setattr(oracle, "integrand_samples", recording)
     est = mc_two_electron(kind, 1.67, n, 13)
-    assert [len(v) for v in seen] == [BLOCK_ROWS] * 3 + [1001]
-    assert np.array_equal(np.concatenate(seen), whole)
+    assert sorted(len(v) for _, v in seen) == [1001] + [BLOCK_ROWS] * 3
+    placed = np.full(n, np.nan)
+    for first_row, v in seen:
+        (start,) = np.flatnonzero((u == first_row).all(axis=1))
+        assert np.isnan(placed[start:start + len(v)]).all()
+        placed[start:start + len(v)] = v
+    assert np.array_equal(placed, whole)
     assert est.mean == float(np.mean(whole))
     assert est.stderr == float(np.std(whole, ddof=1) / math.sqrt(n))
+
+
+@pytest.mark.parametrize("seed", [0, 13, 2**63 + 5])
+def test_block_substreams_match_one_sequential_stream(seed):
+    n = 3 * BLOCK_ROWS + 1001
+    whole = np.random.default_rng(seed).random((n, 8))
+    for start in range(0, n, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, n - start)
+        assert np.array_equal(oracle._block_uniforms(seed, start, rows),
+                              whole[start:start + rows])
+
+
+def test_mc_estimate_independent_of_worker_count(monkeypatch):
+    n = 5 * BLOCK_ROWS + 17
+    estimate = lambda: [repr(mc_two_electron(kind, 1.67, n, 29)) for kind in MC_KINDS]
+    pooled = estimate()
+    monkeypatch.setattr(oracle, "MAX_WORKERS", 1)
+    assert oracle._worker_count() == 1
+    assert estimate() == pooled
+    # more workers than cores, switching threads as often as possible: a
+    # block written to the wrong slice or lost would change the estimate
+    monkeypatch.setattr(oracle, "_worker_count", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert estimate() == pooled
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_oracle_e1_frozen_values():
