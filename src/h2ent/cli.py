@@ -2,8 +2,9 @@
 data and oracle verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
-input the float64 closed forms cannot evaluate, or a distance below
-MIN_DISTANCE, where they lose digits), 3 I/O error.  Data goes to
+input the float64 closed forms cannot evaluate, a distance below
+MIN_DISTANCE, where they lose digits, or a grid or sample count too large
+for the memory), 3 I/O error.  Data goes to
 stdout or --out; diagnostics go to stderr.  Output is deterministic:
 identical arguments give byte-identical bytes.  --parallel (and
 $H2E_PARALLEL) is validated but evaluation is always serial.
@@ -316,6 +317,9 @@ def main(argv=None) -> int:
         if args.command == "figure":
             return _cmd_figure(args)
         return _cmd_verify(args)
+    except MemoryError as exc:
+        _err(f"input too large for the available memory ({exc})")
+        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_IO
 

@@ -327,6 +327,20 @@ def test_verify_output_is_pinned(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["scan", "--s-min", "1", "--s-max", "2", "--steps", "1000000000000000"],
+    ["figure", "--which", "fig1", "--steps", "1000000000000000"],
+    ["verify", "--samples", "1000000000000000"],
+])
+def test_commands_refuse_sizes_beyond_memory(command, capsys):
+    # 1e15 elements (8 PB): numpy refuses the array before it allocates any
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("h2e: error: input too large for the available memory")
+    assert err.count("\n") == 1
+
+
 def test_verify_rejects_bad_arguments(capsys):
     assert run_cli(["verify", "--seed", "-3"], capsys)[0] == 2
     assert run_cli(["verify", "--samples", "10"], capsys)[0] == 2
@@ -346,11 +360,15 @@ def test_point_and_scan_do_not_import_scipy():
     code = ("import sys, io, contextlib\n"
             "import h2ent.cli\n"
             "assert 'scipy' not in sys.modules, 'import h2ent.cli'\n"
+            # nor is the Monte Carlo radius table built before verify needs it
+            "from h2ent._mc_kernels import _radius_table\n"
+            "assert _radius_table.cache_info().currsize == 0, 'import h2ent.cli'\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert h2ent.cli.main(['point', '--s', '1.5']) == 0\n"
             "    assert h2ent.cli.main(['scan', '--s-min', '1', '--s-max', '2',"
             " '--steps', '5']) == 0\n"
             "assert 'scipy' not in sys.modules, 'point/scan'\n"
+            "assert _radius_table.cache_info().currsize == 0, 'point/scan'\n"
             # the thread pool serves only the Monte Carlo oracle
             "import threading\n"
             "assert 'concurrent.futures' not in sys.modules, 'point/scan'\n"

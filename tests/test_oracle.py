@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -91,8 +92,10 @@ def test_radius_transform_inverts_cdf():
     assert np.max(np.abs(back - u)) < 1e-9
 
 
-# The unfused one-pass kernel the blocked one replaced, kept as the reference
-# that every per-sample value must equal bit for bit.
+# The unfused one-pass kernel of earlier versions (8 Newton steps from a
+# cube-root or iterated-log start, two cosines and two sines per sample,
+# 1 - tanh(d) as such), kept as the reference every per-sample value must
+# match to a stated tolerance; mpmath decides where the two differ most.
 def _reference_radius(u):
     lnq = np.log1p(-u)
     big = -lnq
@@ -145,20 +148,94 @@ def _reference_samples(kind, s, u):
     return (1.0 - np.tanh(da1 - db1)) * sech2 * inv
 
 
+def _mp_radius(u):
+    """The inverse-CDF radius at the working mpmath precision."""
+    lnq = mpmath.log1p(-mpmath.mpf(u))
+    x0 = mpmath.cbrt(-6 * lnq) if lnq > -1 else -lnq + mpmath.log(1 - lnq + lnq * lnq / 2)
+    return mpmath.findroot(lambda x: x - mpmath.log1p(x + x * x / 2) + lnq, x0) / 2
+
+
+def _mp_sample_l(s, row):
+    """The l integrand at one row of uniforms, as the reference computes it,
+    at the working mpmath precision."""
+    s = mpmath.mpf(s)
+    pos = []
+    for e in (0, 4):
+        r = _mp_radius(row[e])
+        cz = 2 * mpmath.mpf(row[e + 1]) - 1
+        ph = 2 * mpmath.pi * mpmath.mpf(row[e + 2])
+        rst = r * mpmath.sqrt(1 - cz * cz)
+        center = 0 if row[e + 3] < 0.5 else s
+        pos.append((rst * mpmath.cos(ph), rst * mpmath.sin(ph), center + r * cz))
+    (x1, y1, z1), (x2, y2, z2) = pos
+    r12 = mpmath.sqrt((x1 - x2) ** 2 + (y1 - y2) ** 2 + (z1 - z2) ** 2)
+    d1, d2 = (mpmath.sqrt(x * x + y * y + z * z) - mpmath.sqrt(x * x + y * y + (z - s) ** 2)
+              for x, y, z in pos)
+    return (1 - mpmath.tanh(d1)) * mpmath.sech(d2) / r12
+
+
 def test_radius_matches_reference_bitwise():
+    # named when the kernel equalled the reference bit for bit; now to 1e-11
     u = np.random.default_rng(21).random(200_003)
-    u[:6] = (1e-16, 1.0 - 1e-16, 0.9, np.nextafter(0.9, 0.0), 0.5, 0.0)
-    assert np.array_equal(kernels.radius_from_uniform(u), _reference_radius(u))
+    u[:4] = (1.0 - 1e-16, 0.9, np.nextafter(0.9, 0.0), 0.5)
+    ref = _reference_radius(u)
+    assert np.all(np.abs(kernels.radius_from_uniform(u) - ref) <= 1e-11 * ref)
+    # the reference floors x at 1e-300
+    assert kernels.radius_from_uniform([0.0, 0.5])[0] == 0.0
+
+
+def test_radius_against_mpmath():
+    # below u ~ 1e-8 the reference's residual ln(1 + t) - x - ln Q cancels
+    # (4e-16/x^2 relative), and its radius is off by 1.6e-6 at u = 1e-16;
+    # the kernel sums that residual from its Taylor series there
+    tiny = np.array([1e-16, 1e-12, 1e-9, 1e-7, 1e-6, 4e-6])
+    # elsewhere two Newton steps from the table reach the float64 root
+    u = np.array([0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-12, 1.0 - 1e-16])
+    with mpmath.workdps(40):
+        for ui, g, rf in zip(tiny, kernels.radius_from_uniform(tiny), _reference_radius(tiny)):
+            exact = _mp_radius(ui)
+            assert abs(g - exact) <= 1e-14 * exact
+            assert abs(g - exact) <= abs(rf - exact)
+        for ui, g in zip(u, kernels.radius_from_uniform(u)):
+            assert abs(g - _mp_radius(ui)) <= 1e-15 * g
 
 
 @pytest.mark.parametrize("kind", ["j", "k", "l", "m"])
 @pytest.mark.parametrize("s", [0.5, 1.67, 8.0])
 def test_kernel_matches_reference_bitwise(kind, s):
+    # named when the kernel equalled the reference bit for bit; now to 1e-9
     u = np.random.default_rng(17).random((20_011, 8))
     u[0, 0], u[1, 4], u[2, 0], u[3, 4] = 1e-16, 1.0 - 1e-16, 0.9, np.nextafter(0.9, 0.0)
     np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+    before = u.copy()
     got = kernels.integrand_samples(kernels.KIND_CODES[kind], s, u)
-    assert np.array_equal(got, _reference_samples(kind, s, u))
+    assert np.array_equal(u, before)
+    ref = _reference_samples(kind, s, u)
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
+
+
+def test_kernel_l_closer_to_mpmath_where_reference_differs_most():
+    # at s = 8 the reference's 1 - tanh(d) loses digits as d nears s: the
+    # five samples it differs most on (about 3e-10 relative) are each
+    # nearer the 40-digit value in the kernel's 2 / (1 + e^(2d))
+    u = np.random.default_rng(17).random((20_011, 8))
+    got = kernels.integrand_samples(kernels.KIND_L, 8.0, u)
+    ref = _reference_samples("l", 8.0, u)
+    worst = np.argsort(np.abs(got / ref - 1.0))[-5:]
+    assert np.abs(got[worst] / ref[worst] - 1.0).max() > 1e-10
+    with mpmath.workdps(40):
+        for i in worst:
+            exact = _mp_sample_l(8.0, u[i])
+            assert abs(got[i] - exact) <= 1e-13 * abs(exact)
+            assert abs(got[i] - exact) < abs(ref[i] - exact)
+
+
+def test_kernel_finite_without_overflow_at_large_distance():
+    u = np.random.default_rng(5).random((1000, 8))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for code in (kernels.KIND_J, kernels.KIND_K, kernels.KIND_L, kernels.KIND_M):
+            values = kernels.integrand_samples(code, 400.0, u)
+            assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
 
 
 @pytest.mark.parametrize("kind", ["j", "k", "l", "m"])
