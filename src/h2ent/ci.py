@@ -29,10 +29,10 @@ matrix
 whose concurrence is exactly 2 |c1 c2| and whose Slater coefficients are
 {|c1|/2, |c2|/2}.
 
-block_table, solve_table and ci_table are the same block and solve on
-arrays of distances: each HamiltonianBlock / CiSolution field is then an
-array.  The scalar functions stay on `math`: one point costs about 1 ms
-through the array path against about 30 us through ci_solve.
+block_table, solve_table and ci_table take arrays of distances, and each
+HamiltonianBlock / CiSolution field is then an array.  The block is plain
+arithmetic and the solve one function of (block, xp), evaluated over
+specfun.MATH_XP for one point and over specfun.NUMPY_XP for arrays.
 """
 
 import math
@@ -42,7 +42,7 @@ import numpy as np
 
 from .entanglement import AntisymW
 from .integrals import integral_set, integral_table
-from .specfun import binary_entropy
+from .specfun import MATH_XP, NUMPY_XP, binary_entropy
 
 __all__ = [
     "E1S",
@@ -131,6 +131,27 @@ def block_table(s, variant: str = "corrected") -> HamiltonianBlock:
     return _block_of(integral_table(s), variant)
 
 
+def _solve(block: HamiltonianBlock, xp) -> CiSolution:
+    a, b, d = block.h11, block.h12, block.h22
+    # |phi| <= fl(pi)/2 < pi/2, so c1 = cos(phi) > 0 (6.1e-17 at the edge)
+    phi = 0.5 * xp.atan2(2.0 * b, d - a)
+    c1 = xp.cos(phi)
+    # the closed-form c1^2 must match the eigenvector where a < d; elsewhere
+    # a - d may be 0, so t divides by a stand-in -1 and is not checked
+    lower = a < d
+    t = 2.0 * b / xp.where(lower, a - d, -1.0)
+    closed_c1_sq = 0.5 + 0.5 / xp.sqrt(1.0 + t * t)
+    bad = lower & (abs(closed_c1_sq - c1 * c1) > _CLOSED_FORM_TOL)
+    if xp.any(bad):
+        closed, eig, s = (float(np.asarray(x)[bad].flat[0])
+                          for x in (closed_c1_sq, c1 * c1, block.s))
+        raise RuntimeError(f"closed-form c1^2 {closed!r} disagrees with eigenvector "
+                           f"{eig!r} at s={s!r}")
+    return CiSolution(s=block.s, c1=c1, c2=-xp.sin(phi),
+                      e_ground=0.5 * (a + d) - xp.hypot(0.5 * (d - a), b),
+                      e_psi1=a, e_psi2=d, degenerate=(b == 0.0) & (a == d))
+
+
 def solve_block(block: HamiltonianBlock) -> CiSolution:
     """Ground eigenpair of a symmetric 2x2 block, deterministic and closed-form.
 
@@ -145,26 +166,7 @@ def solve_block(block: HamiltonianBlock) -> CiSolution:
         If the closed-form coefficient squares disagree with the
         eigen-decomposition beyond 1e-10 (internal consistency guard).
     """
-    a, b, d = block.h11, block.h12, block.h22
-    degenerate = (b == 0.0 and a == d)
-    half_diff = 0.5 * (d - a)
-    radius = math.hypot(half_diff, b)
-    e_ground = 0.5 * (a + d) - radius
-    phi = 0.5 * math.atan2(2.0 * b, d - a)
-    c1 = math.cos(phi)
-    c2 = -math.sin(phi)
-    if c1 < 0.0 or (c1 == 0.0 and c2 < 0.0):
-        c1, c2 = -c1, -c2
-    # closed-form squares must match the eigenvector (checked when a < d)
-    if a < d:
-        t = 2.0 * b / (a - d)
-        closed_c1_sq = 0.5 + 0.5 / math.sqrt(1.0 + t * t)
-        if abs(closed_c1_sq - c1 * c1) > _CLOSED_FORM_TOL:
-            raise RuntimeError(
-                f"closed-form c1^2 {closed_c1_sq!r} disagrees with eigenvector "
-                f"{c1 * c1!r} at s={block.s!r}")
-    return CiSolution(s=block.s, c1=c1, c2=c2, e_ground=e_ground,
-                      e_psi1=a, e_psi2=d, degenerate=degenerate)
+    return _solve(block, MATH_XP)
 
 
 def ci_solve(s: float, variant: str = "corrected") -> CiSolution:
@@ -175,8 +177,7 @@ def ci_solve(s: float, variant: str = "corrected") -> CiSolution:
 def solve_table(block: HamiltonianBlock) -> CiSolution:
     """solve_block on a block of arrays, element by element.
 
-    Same parameterization, sign rule and closed-form guard as solve_block;
-    evaluate under np.errstate to silence warnings from non-finite elements,
+    Evaluate under np.errstate to silence warnings from non-finite elements,
     which come out non-finite.
 
     Raises
@@ -185,23 +186,7 @@ def solve_table(block: HamiltonianBlock) -> CiSolution:
         If the closed-form c1^2 disagrees with the eigenvector beyond 1e-10
         at any element with H11 < H22.
     """
-    a, b, d = block.h11, block.h12, block.h22
-    e_ground = 0.5 * (a + d) - np.hypot(0.5 * (d - a), b)
-    phi = 0.5 * np.arctan2(2.0 * b, d - a)
-    c1 = np.cos(phi)
-    c2 = -np.sin(phi)
-    flip = (c1 < 0.0) | ((c1 == 0.0) & (c2 < 0.0))
-    c1 = np.where(flip, -c1, c1)
-    c2 = np.where(flip, -c2, c2)
-    lower = a < d
-    t = 2.0 * b[lower] / (a[lower] - d[lower])
-    c1_lower = c1[lower]
-    bad = np.abs(0.5 + 0.5 / np.sqrt(1.0 + t * t) - c1_lower * c1_lower) > _CLOSED_FORM_TOL
-    if bad.any():
-        raise RuntimeError(f"closed-form c1^2 disagrees with eigenvector "
-                           f"at s={float(block.s[lower][bad][0])!r}")
-    return CiSolution(s=block.s, c1=c1, c2=c2, e_ground=e_ground, e_psi1=a, e_psi2=d,
-                      degenerate=(b == 0.0) & (a == d))
+    return _solve(block, NUMPY_XP)
 
 
 def ci_table(s, variant: str = "corrected") -> CiSolution:

@@ -17,8 +17,9 @@ the only transcendental one; it needs E1 and Euler's constant.  Every closed
 form here is validated against the independent quadrature / Monte Carlo
 oracle (see the oracle module and `h2e verify`).
 
-integral_table evaluates the same closed forms with numpy on an array of
-distances, in the same order of operations, for grids.
+Each closed form is written once, as a function of (s, xp): the public
+scalar functions check their input and evaluate it over specfun.MATH_XP,
+integral_table evaluates the same function over specfun.NUMPY_XP.
 """
 
 import math
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, exp_integral_e1, exp_integral_e1_array
+from .specfun import EULER_GAMMA, MATH_XP, NUMPY_XP
 
 __all__ = [
     "IntegralSet",
@@ -56,18 +57,62 @@ def _require_positive(s: float, who: str) -> float:
     return s
 
 
+def _overlap(s, xp):
+    return (1.0 + s + s * s / 3.0) * xp.exp(-s)
+
+
+def _s_prime(s, xp):
+    return (1.0 - s + s * s / 3.0) * xp.exp(s)
+
+
+def _jprime(s, xp):
+    # 1 - (1+s)e^-2s == -expm1(-2s) - s e^-2s, stable for small s
+    return (-xp.expm1(-2.0 * s) - s * xp.exp(-2.0 * s)) / s
+
+
+def _kprime(s, xp):
+    return (1.0 + s) * xp.exp(-s)
+
+
+def _coulomb_j(s, xp):
+    return (-xp.expm1(-2.0 * s) / s
+            - (11.0 / 8.0 + 0.75 * s + s * s / 6.0) * xp.exp(-2.0 * s))
+
+
+def _exchange_closed(s, xp):
+    # [A - B] / 5; the log-divergent (gamma + ln s, E1) pieces of A cancel as s -> 0
+    ss, sp = _overlap(s, xp), _s_prime(s, xp)
+    a = (6.0 / s) * ((EULER_GAMMA + xp.log(s)) * ss * ss
+                     - xp.e1(4.0 * s) * sp * sp
+                     + 2.0 * xp.e1(2.0 * s) * ss * sp)
+    b = (-25.0 / 8.0 + 23.0 / 4.0 * s + 3.0 * s * s + s ** 3 / 3.0) * xp.exp(-2.0 * s)
+    return (a - b) / 5.0
+
+
+def _hybrid_l(s, xp):
+    # (1/4 + 5/8s)(e^-s - e^-3s)/2 + s e^-s, with e^-s - e^-3s = -e^-s expm1(-2s)
+    return (s * xp.exp(-s)
+            + (0.125 + 5.0 / (16.0 * s)) * xp.exp(-s) * (-xp.expm1(-2.0 * s)))
+
+
+_K_AT_CUTOFF = _exchange_closed(EXCHANGE_SMALL_S, MATH_XP)
+
+
+def _exchange_blend(s):
+    return _ONE_CENTER + (_K_AT_CUTOFF - _ONE_CENTER) * (s / EXCHANGE_SMALL_S)
+
+
 def overlap(s: float) -> float:
     """Overlap S(s) = (1 + s + s^2/3) e^-s of two 1s orbitals; S(0) = 1."""
     s = float(s)
     if not math.isfinite(s) or s < 0.0:
         raise ValueError(f"overlap requires finite s >= 0, got {s!r}")
-    return (1.0 + s + s * s / 3.0) * math.exp(-s)
+    return _overlap(s, MATH_XP)
 
 
 def s_prime(s: float) -> float:
     """Companion overlap S'(s) = S(-s) = (1 - s + s^2/3) e^s."""
-    s = float(s)
-    return (1.0 - s + s * s / 3.0) * math.exp(s)
+    return _s_prime(float(s), MATH_XP)
 
 
 def jprime(s: float) -> float:
@@ -76,9 +121,7 @@ def jprime(s: float) -> float:
     Attraction of the 1s cloud on nucleus a to the other nucleus b; tends to
     1 as s -> 0 and to the point-charge value 1/s at large s.
     """
-    s = _require_positive(s, "jprime")
-    # 1 - (1+s)e^-2s == -expm1(-2s) - s e^-2s, stable for small s
-    return (-math.expm1(-2.0 * s) - s * math.exp(-2.0 * s)) / s
+    return _jprime(_require_positive(s, "jprime"), MATH_XP)
 
 
 def kprime(s: float) -> float:
@@ -86,7 +129,7 @@ def kprime(s: float) -> float:
     s = float(s)
     if not math.isfinite(s) or s < 0.0:
         raise ValueError(f"kprime requires finite s >= 0, got {s!r}")
-    return (1.0 + s) * math.exp(-s)
+    return _kprime(s, MATH_XP)
 
 
 def coulomb_j(s: float) -> float:
@@ -95,34 +138,7 @@ def coulomb_j(s: float) -> float:
     j(s) = 1/s - (2/s + 11/4 + 3s/2 + s^2/3) e^-2s / 2; tends to the
     one-center value 5/8 as s -> 0 and to 1/s at large s.
     """
-    s = _require_positive(s, "coulomb_j")
-    return (-math.expm1(-2.0 * s) / s
-            - (11.0 / 8.0 + 0.75 * s + s * s / 6.0) * math.exp(-2.0 * s))
-
-
-def _exchange_a(s: float) -> float:
-    # logarithmic/E1 part; individually divergent pieces cancel as s -> 0
-    ss = overlap(s)
-    sp = s_prime(s)
-    bracket = ((EULER_GAMMA + math.log(s)) * ss * ss
-               - exp_integral_e1(4.0 * s) * sp * sp
-               + 2.0 * exp_integral_e1(2.0 * s) * ss * sp)
-    return (6.0 / s) * bracket
-
-
-def _exchange_b(s: float) -> float:
-    return (-25.0 / 8.0 + 23.0 / 4.0 * s + 3.0 * s * s + s ** 3 / 3.0) * math.exp(-2.0 * s)
-
-
-def _exchange_closed(s: float) -> float:
-    return (_exchange_a(s) - _exchange_b(s)) / 5.0
-
-
-_K_AT_CUTOFF = _exchange_closed(EXCHANGE_SMALL_S)
-
-
-def _exchange_blend(s):
-    return _ONE_CENTER + (_K_AT_CUTOFF - _ONE_CENTER) * (s / EXCHANGE_SMALL_S)
+    return _coulomb_j(_require_positive(s, "coulomb_j"), MATH_XP)
 
 
 def exchange_k(s: float) -> float:
@@ -137,7 +153,7 @@ def exchange_k(s: float) -> float:
     s = _require_positive(s, "exchange_k")
     if s < EXCHANGE_SMALL_S:
         return _exchange_blend(s)
-    return _exchange_closed(s)
+    return _exchange_closed(s, MATH_XP)
 
 
 def hybrid_l(s: float) -> float:
@@ -147,10 +163,7 @@ def hybrid_l(s: float) -> float:
     singularities cancel; the difference of exponentials is taken through
     expm1 so the cancellation costs no precision.
     """
-    s = _require_positive(s, "hybrid_l")
-    # (1/4 + 5/8s)(e^-s - e^-3s)/2 + s e^-s, with e^-s - e^-3s = -e^-s expm1(-2s)
-    return (s * math.exp(-s)
-            + (0.125 + 5.0 / (16.0 * s)) * math.exp(-s) * (-math.expm1(-2.0 * s)))
+    return _hybrid_l(_require_positive(s, "hybrid_l"), MATH_XP)
 
 
 def one_center_m() -> float:
@@ -172,19 +185,15 @@ class IntegralSet:
     m: float
 
 
+def _integral_set(s, xp, k) -> IntegralSet:
+    return IntegralSet(s=s, S=_overlap(s, xp), jp=_jprime(s, xp), kp=_kprime(s, xp),
+                       j=_coulomb_j(s, xp), k=k, l=_hybrid_l(s, xp), m=_ONE_CENTER)
+
+
 def integral_set(s: float) -> IntegralSet:
     """Bundle every integral at reduced distance s > 0."""
     s = _require_positive(s, "integral_set")
-    return IntegralSet(
-        s=s,
-        S=overlap(s),
-        jp=jprime(s),
-        kp=kprime(s),
-        j=coulomb_j(s),
-        k=exchange_k(s),
-        l=hybrid_l(s),
-        m=one_center_m(),
-    )
+    return _integral_set(s, MATH_XP, exchange_k(s))
 
 
 def integral_table(s) -> IntegralSet:
@@ -197,22 +206,5 @@ def integral_table(s) -> IntegralSet:
     s = np.asarray(s, dtype=np.float64)
     if not (np.isfinite(s).all() and (s > 0.0).all()):
         raise ValueError("integral_table requires finite s > 0 everywhere")
-    e1, e2 = np.exp(-s), np.exp(-2.0 * s)
-    one_minus_e2 = -np.expm1(-2.0 * s)
-    ss = (1.0 + s + s * s / 3.0) * e1
-    sp = (1.0 - s + s * s / 3.0) * np.exp(s)
-    bracket = ((EULER_GAMMA + np.log(s)) * ss * ss
-               - exp_integral_e1_array(4.0 * s) * sp * sp
-               + 2.0 * exp_integral_e1_array(2.0 * s) * ss * sp)
-    closed_k = ((6.0 / s) * bracket
-                - (-25.0 / 8.0 + 23.0 / 4.0 * s + 3.0 * s * s + s ** 3 / 3.0) * e2) / 5.0
-    return IntegralSet(
-        s=s,
-        S=ss,
-        jp=(one_minus_e2 - s * e2) / s,
-        kp=(1.0 + s) * e1,
-        j=one_minus_e2 / s - (11.0 / 8.0 + 0.75 * s + s * s / 6.0) * e2,
-        k=np.where(s < EXCHANGE_SMALL_S, _exchange_blend(s), closed_k),
-        l=s * e1 + (0.125 + 5.0 / (16.0 * s)) * e1 * one_minus_e2,
-        m=_ONE_CENTER,
-    )
+    k = np.where(s < EXCHANGE_SMALL_S, _exchange_blend(s), _exchange_closed(s, NUMPY_XP))
+    return _integral_set(s, NUMPY_XP, k)

@@ -6,9 +6,10 @@ converted from Hartree to the selected output unit.  Rows are rendered with
 configurations produce byte-identical output, because every grid point is a
 pure function of (s, variant, unit) and rows are emitted in grid order.
 
-A grid is evaluated as one (n, 8) float64 table (scan_table), from the
-integrals to the entanglement columns in numpy, and rendered in one pass;
-record_at is the scalar evaluation of a single point.
+record_at evaluates one point over `math`; scan_table evaluates a grid as
+one (n, 8) float64 table over numpy, rendered in one pass.  Both derive the
+energy, coefficient and concurrence columns from the CI solution with one
+helper; only the entropy's 0 log 0 = 0 case is written per path.
 """
 
 import json
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import E1S, H22_VARIANTS, ci_solve, ci_table, ground_concurrence, ground_entropy
+from .ci import E1S, H22_VARIANTS, ci_solve, ci_table, ground_entropy
+from .specfun import NUMPY_XP, _binary_entropy
 
 __all__ = [
     "UNIT_FACTORS",
@@ -84,29 +86,34 @@ class ScanConfig:
             raise ValueError(f"need s_min < s_max, got {self.s_min!r} >= {self.s_max!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps!r}")
-        if self.unit not in UNIT_FACTORS:
-            raise ValueError(f"unknown unit {self.unit!r}")
+        _check_unit(self.unit)
         if self.h22_variant not in H22_VARIANTS:
             raise ValueError(f"unknown h22 variant {self.h22_variant!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
 
 
+def _check_unit(unit: str) -> None:
+    if unit not in UNIT_FACTORS:
+        raise ValueError(f"unknown unit {unit!r}; expected one of {tuple(UNIT_FACTORS)}")
+
+
+def _columns(sol, factor):
+    """e_psi1, e_psi2, e_ci, c1_sq, c2_sq and concurrence of a CiSolution of
+    floats or arrays, energies relative to 2 E1s in the unit of `factor`."""
+    # ** 2 is pow on a float and a multiply on an array; c1 * c1 would move
+    # the last bit of the scalar c1_sq at about 0.1% of distances
+    return ((sol.e_psi1 - 2.0 * E1S) * factor, (sol.e_psi2 - 2.0 * E1S) * factor,
+            (sol.e_ground - 2.0 * E1S) * factor, sol.c1 ** 2, sol.c2 ** 2,
+            2.0 * abs(sol.c1 * sol.c2))
+
+
 def record_at(s: float, variant: str = "corrected", unit: str = "rydberg") -> ScanRecord:
     """Evaluate one grid point: CI energies, coefficients, entanglement."""
-    factor = UNIT_FACTORS[unit]
+    _check_unit(unit)
     sol = ci_solve(s, variant)
-    rel = lambda e: (e - 2.0 * E1S) * factor
-    return ScanRecord(
-        s=s,
-        e_psi1=rel(sol.e_psi1),
-        e_psi2=rel(sol.e_psi2),
-        e_ci=rel(sol.e_ground),
-        c1_sq=sol.c1 ** 2,
-        c2_sq=sol.c2 ** 2,
-        concurrence=ground_concurrence(sol.c1, sol.c2),
-        entropy=ground_entropy(sol.c1, sol.c2),
-    )
+    return ScanRecord(sol.s, *_columns(sol, UNIT_FACTORS[unit]),
+                      ground_entropy(sol.c1, sol.c2))
 
 
 def grid_values(s_min: float, s_max: float, steps: int) -> np.ndarray:
@@ -124,23 +131,15 @@ def scan_table(config: ScanConfig) -> np.ndarray:
     """
     config.validate()
     s = grid_values(config.s_min, config.s_max, config.steps)
-    factor = UNIT_FACTORS[config.unit]
     table = np.empty((len(s), len(SCAN_FIELDS)))
     with np.errstate(all="ignore"):
         sol = ci_table(s, config.h22_variant)
-        c1, c2 = sol.c1, sol.c2
         table[:, 0] = s
-        table[:, 1] = (sol.e_psi1 - 2.0 * E1S) * factor
-        table[:, 2] = (sol.e_psi2 - 2.0 * E1S) * factor
-        table[:, 3] = (sol.e_ground - 2.0 * E1S) * factor
-        table[:, 4] = c1 * c1
-        table[:, 5] = c2 * c2
-        table[:, 6] = 2.0 * np.abs(c1 * c2)
+        for col, values in enumerate(_columns(sol, UNIT_FACTORS[config.unit]), start=1):
+            table[:, col] = values
         # ground_entropy: 1 + binary entropy of c1^2, 0 log 0 = 0
         p = np.clip(table[:, 4], 0.0, 1.0)
-        q = 1.0 - p
-        table[:, 7] = 1.0 + np.where((p == 0.0) | (p == 1.0), 0.0,
-                                     -p * np.log2(p) - q * np.log2(q))
+        table[:, 7] = 1.0 + np.where((p == 0.0) | (p == 1.0), 0.0, _binary_entropy(p, NUMPY_XP))
     return table
 
 

@@ -15,10 +15,13 @@ integral lives in the oracle module and the test suite.
 exp_integral_e1_array runs the same recurrences on a whole array, one numpy
 operation per step, and retires each element at the step where the scalar
 loop would stop; it differs from the scalar only through numpy's log and
-exp, by a few ulp.
+exp, by a few ulp.  E1 is the one function written twice: sharing one loop
+would put numpy's per-call cost on the scalar path.  Every other closed form
+is written once, as f(s, xp), over MATH_XP for one point or NUMPY_XP for arrays.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -171,5 +174,23 @@ def binary_entropy(p: float) -> float:
         raise ValueError(f"binary_entropy requires p in [0, 1], got {p!r}")
     if p == 0.0 or p == 1.0:
         return 0.0
+    return _binary_entropy(p, MATH_XP)
+
+
+def _binary_entropy(p, xp):
     q = 1.0 - p
-    return -p * math.log2(p) - q * math.log2(q)
+    return -p * xp.log2(p) - q * xp.log2(q)
+
+
+# the functions the closed forms call, for one point or for arrays; numpy's
+# are bound by their numpy < 2 names (np.arctan2, not np.atan2).  The scalar
+# E1 is looked up when called, so that a profiler's wrapper on
+# specfun.exp_integral_e1 also counts the calls made through MATH_XP
+MATH_XP = SimpleNamespace(
+    exp=math.exp, expm1=math.expm1, log=math.log, log2=math.log2, sqrt=math.sqrt,
+    hypot=math.hypot, atan2=math.atan2, cos=math.cos, sin=math.sin,
+    where=lambda cond, x, y: x if cond else y, any=bool, e1=lambda x: exp_integral_e1(x))
+NUMPY_XP = SimpleNamespace(
+    exp=np.exp, expm1=np.expm1, log=np.log, log2=np.log2, sqrt=np.sqrt,
+    hypot=np.hypot, atan2=np.arctan2, cos=np.cos, sin=np.sin,
+    where=np.where, any=np.any, e1=exp_integral_e1_array)

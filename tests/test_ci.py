@@ -123,9 +123,11 @@ def test_ground_eigenvector_sign_follows_coupling():
 
 
 # (h11, h12, h22): decoupled, degenerate, symmetric mixing, both coupling
-# signs, H11 above H22
+# signs, H11 above H22, and decoupled with H11 above H22 for both signed
+# zeros: atan2 = +-pi there, the only place c1 = cos(phi) could reach 0
 HAND_BLOCKS = [(-1.0, 0.0, 1.0), (0.5, 0.0, 0.5), (0.3, 0.2, 0.3), (0.0, 0.3, 1.0),
-               (0.0, -0.3, 1.0), (1.0, 0.3, 0.0), (-0.4, 1e-9, 2.0)]
+               (0.0, -0.3, 1.0), (1.0, 0.3, 0.0), (-0.4, 1e-9, 2.0),
+               (1.0, 0.0, -1.0), (1.0, -0.0, -1.0)]
 
 
 def test_solve_table_matches_solve_block_elementwise():
@@ -136,7 +138,11 @@ def test_solve_table_matches_solve_block_elementwise():
     for i, (a, b, d) in enumerate(HAND_BLOCKS):
         sol = solve_block(HamiltonianBlock(s=s[i], h11=a, h12=b, h21=b, h22=d,
                                            variant="corrected"))
-        assert table.c1[i] >= 0.0
+        # c1 > 0 (6.1e-17 at atan2 = +-pi) and c2 takes the sign opposite to
+        # H12's, signed zeros included: -1 for +0.0, +1 for -0.0
+        for c1, c2 in ((table.c1[i], table.c2[i]), (sol.c1, sol.c2)):
+            assert c1 > 0.0
+            assert math.copysign(1.0, c2) == -math.copysign(1.0, b)
         assert table.degenerate[i] == sol.degenerate
         for field in ("c1", "c2", "e_ground", "e_psi1", "e_psi2"):
             assert getattr(table, field)[i] == pytest.approx(getattr(sol, field), abs=1e-15)

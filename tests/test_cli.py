@@ -56,6 +56,21 @@ def test_point_large_distance_concurrence(capsys):
     assert float(values["concurrence"]) >= 0.98
 
 
+def test_point_output_is_pinned(capsys):
+    # stdout of `h2e point` at 40 log-spaced s in [1e-2, 650], both --h22 and
+    # all three units, captured from the scalar path before its closed forms
+    # were shared with the array path; each block is "$ h2e ARGS" and then the
+    # bytes those arguments print.  12-digit text, not repr, so that the file
+    # does not pin the last bit of the platform's libm
+    text = (pathlib.Path(__file__).parent / "data" / "point_golden.txt").read_text(
+        encoding="utf-8")
+    blocks = text.split("$ h2e ")[1:]
+    assert len(blocks) == 240
+    for block in blocks:
+        command, expected = block.split("\n", 1)
+        assert run_cli(command.split(), capsys) == (0, expected, ""), command
+
+
 def test_point_rejects_nonpositive_distance(capsys):
     code, out, err = run_cli(["point", "--s", "-1"], capsys)
     assert code == 2

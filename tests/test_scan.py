@@ -113,6 +113,21 @@ def test_scan_table_raises_no_floating_point_warnings():
     assert not np.isfinite(table).all()
 
 
+def test_record_at_and_scan_config_check_unit_and_variant():
+    for bad in (lambda: record_at(1.0, "corrected", "joule"),
+                lambda: ScanConfig(unit="joule").validate()):
+        with pytest.raises(ValueError, match=r"unknown unit 'joule'; expected one of .*'hartree'"):
+            bad()
+    with pytest.raises(ValueError, match="unknown h22 variant 'typo'; expected one of"):
+        record_at(1.0, "typo")
+
+
+def test_record_at_stores_float_distance():
+    rec = record_at(2)
+    assert type(rec.s) is float and rec == record_at(2.0)
+    assert rec.s == scan_table(ScanConfig(2.0, 3.0, 2))[0, 0]
+
+
 def test_scan_records_wrap_the_table():
     config = ScanConfig(0.5, 10.0, 25, "hartree", "printed")
     records = scan_records(config)
