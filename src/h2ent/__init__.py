@@ -20,7 +20,8 @@ from .entanglement import (AntisymW, SlaterSpectrum, concurrence4, make_antisym,
 from .ci import (E1S, CiSolution, HamiltonianBlock, block_table, ci_solve, ci_table,
                  ground_concurrence, ground_entropy, hamiltonian_block, solve_block,
                  solve_table, w_from_ci)
-from .oracle import McEstimate, mc_two_electron, oracle_e1, quad_one_electron
+from .oracle import (McEstimate, mc_two_electron, oracle_e1, quad_one_electron,
+                     quad_two_electron)
 from .scan import ScanConfig, ScanRecord, record_at, scan_records, scan_table
 
 __version__ = "0.1.0"
@@ -35,6 +36,6 @@ __all__ = [
     "E1S", "HamiltonianBlock", "CiSolution", "hamiltonian_block", "solve_block",
     "ci_solve", "block_table", "solve_table", "ci_table", "w_from_ci",
     "ground_concurrence", "ground_entropy",
-    "McEstimate", "quad_one_electron", "mc_two_electron", "oracle_e1",
+    "McEstimate", "quad_one_electron", "quad_two_electron", "mc_two_electron", "oracle_e1",
     "ScanConfig", "ScanRecord", "record_at", "scan_records", "scan_table",
 ]

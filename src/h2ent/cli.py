@@ -20,11 +20,11 @@ import numpy as np
 from . import __version__
 from .ci import H22_VARIANTS
 from .integrals import coulomb_j, exchange_k, hybrid_l, one_center_m, overlap, jprime, kprime
-from .oracle import MIN_SAMPLES, mc_two_electron, oracle_e1, quad_one_electron
+from .oracle import (MIN_SAMPLES, mc_two_electron, oracle_e1, quad_one_electron,
+                     quad_two_electron)
 from .scan import (FIG3_DEFAULT_STEPS, FIGURES, SCAN_FIELDS, ScanConfig, UNIT_FACTORS,
                    figure_table, record_at, render_csv, render_json, scan_table)
 from .specfun import exp_integral_e1
-from ._mc_kernels import active_backend
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -35,6 +35,7 @@ EXIT_IO = 3
 
 VERIFY_S_GRID = (0.5, 1.0, 1.67, 2.0, 4.0, 8.0)
 QUAD_TOL = 1e-8
+TWO_ELECTRON_REL_TOL = 1e-12
 E1_REL_TOL = 1e-12
 MC_SIGMA_MAX = 1e-3
 ARBITRATION_TARGET = -0.237   # rydberg, relative to 2 E1s
@@ -45,7 +46,7 @@ ARBITRATION_TOL = 0.010
 MIN_DISTANCE = 1e-2
 
 _CLOSED = {"overlap": overlap, "jprime": jprime, "kprime": kprime,
-           "j": coulomb_j, "k": exchange_k, "l": hybrid_l}
+           "j": coulomb_j, "k": exchange_k, "l": hybrid_l, "m": lambda s: one_center_m()}
 
 
 def _err(msg: str) -> None:
@@ -100,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="check closed forms against the numerical oracle")
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--samples", type=int, default=2_000_000,
-                    help="Monte Carlo samples per integral (default: 2000000)")
+    sp.add_argument("--samples", type=int, default=500_000,
+                    help="Monte Carlo samples per integral (default: 500000)")
     add_common(sp, with_unit=False)
     return p
 
@@ -242,11 +243,11 @@ def _cmd_verify(args) -> int:
         return "PASS" if ok else "FAIL"
 
     emit("h2e verify: closed forms vs independent numerical oracle")
-    emit(f"backend: {active_backend()}   seed: {args.seed}   samples: {args.samples}")
+    emit(f"backend: numpy   seed: {args.seed}   samples: {args.samples}")
     emit(f"h22 variant under test: {args.h22}")
     emit()
 
-    emit(f"[1] one-electron integrals, nested adaptive quadrature (tol {QUAD_TOL:.0e})")
+    emit(f"[1] one-electron integrals, double-exponential quadrature (tol {QUAD_TOL:.0e})")
     for s in VERIFY_S_GRID:
         for kind, label in (("overlap", "S "), ("jprime", "j'"), ("kprime", "k'")):
             closed = _CLOSED[kind](s)
@@ -275,7 +276,19 @@ def _cmd_verify(args) -> int:
                  f"  sigma={est.stderr:.2e}  |diff|/sigma={diff / est.stderr:5.2f}  {check(ok)}")
     emit()
 
-    emit(f"[3] exponential integral E1, series/CF vs quadrature "
+    emit(f"[3] two-electron integrals, double-exponential quadrature "
+         f"(relative tol {TWO_ELECTRON_REL_TOL:.0e})")
+    checks = [("m (any s) ", "m", 1.0)] + [
+        (f"s={s:<5g} {kind}", kind, s) for s in VERIFY_S_GRID for kind in ("j", "k", "l")]
+    for label, kind, s in checks:
+        closed = _CLOSED[kind](s)
+        orc = quad_two_electron(kind, s, tol=TWO_ELECTRON_REL_TOL)
+        rel = abs(closed - orc) / orc
+        emit(f"  {label}  closed={closed: .12e}  quad={orc: .12e}"
+             f"  |diff|/quad={rel:.2e}  {check(rel <= TWO_ELECTRON_REL_TOL)}")
+    emit()
+
+    emit(f"[4] exponential integral E1, series/CF vs quadrature "
          f"(50 log-spaced points in [1e-3, 50], rel tol {E1_REL_TOL:.0e})")
     worst = 0.0
     for x in np.logspace(-3.0, math.log10(50.0), 50):
@@ -284,7 +297,7 @@ def _cmd_verify(args) -> int:
     emit(f"  max relative difference = {worst:.3e}  {check(worst <= E1_REL_TOL)}")
     emit()
 
-    emit(f"[4] CI minimum arbitration (rydberg, grid s in [1.0, 2.5], "
+    emit(f"[5] CI minimum arbitration (rydberg, grid s in [1.0, 2.5], "
          f"target {ARBITRATION_TARGET} +- {ARBITRATION_TOL})")
     for variant in H22_VARIANTS:
         e_min, s_min = _ci_minimum(variant)

@@ -57,6 +57,13 @@ def _require_positive(s: float, who: str) -> float:
     return s
 
 
+def _require_nonnegative(s: float, who: str) -> float:
+    s = float(s)
+    if not math.isfinite(s) or s < 0.0:
+        raise ValueError(f"{who} requires finite s >= 0, got {s!r}")
+    return s
+
+
 def _overlap(s, xp):
     return (1.0 + s + s * s / 3.0) * xp.exp(-s)
 
@@ -104,15 +111,22 @@ def _exchange_blend(s):
 
 def overlap(s: float) -> float:
     """Overlap S(s) = (1 + s + s^2/3) e^-s of two 1s orbitals; S(0) = 1."""
-    s = float(s)
-    if not math.isfinite(s) or s < 0.0:
-        raise ValueError(f"overlap requires finite s >= 0, got {s!r}")
-    return _overlap(s, MATH_XP)
+    return _overlap(_require_nonnegative(s, "overlap"), MATH_XP)
 
 
 def s_prime(s: float) -> float:
-    """Companion overlap S'(s) = S(-s) = (1 - s + s^2/3) e^s."""
-    return _s_prime(float(s), MATH_XP)
+    """Companion overlap S'(s) = S(-s) = (1 - s + s^2/3) e^s; S'(0) = 1.
+
+    It grows like s^2 e^s / 3 and leaves float64 near s = 697, where a
+    ValueError is raised instead of returning inf."""
+    s = _require_nonnegative(s, "s_prime")
+    try:
+        value = _s_prime(s, MATH_XP)
+    except OverflowError:  # math.exp itself, above s = 709.78
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"s_prime overflows float64 at s = {s!r}")
+    return value
 
 
 def jprime(s: float) -> float:
@@ -126,10 +140,7 @@ def jprime(s: float) -> float:
 
 def kprime(s: float) -> float:
     """One-electron exchange integral k'(s) = (1 + s) e^-s (Hartree)."""
-    s = float(s)
-    if not math.isfinite(s) or s < 0.0:
-        raise ValueError(f"kprime requires finite s >= 0, got {s!r}")
-    return _kprime(s, MATH_XP)
+    return _kprime(_require_nonnegative(s, "kprime"), MATH_XP)
 
 
 def coulomb_j(s: float) -> float:

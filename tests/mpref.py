@@ -19,21 +19,29 @@ ENERGY_ATOL_HARTREE = 1e-12
 PLAIN_ATOL = 1e-13
 
 
-def record(s, variant="corrected", unit="rydberg"):
-    """Field name -> mpf value at the float s."""
+def integrals(s):
+    """Integral name -> mpf value at the float s: S, jp, kp (one-electron),
+    j, k, l, m (two-electron), in Hartree."""
     with mp.workdps(DPS):
         s = mp.mpf(s)
         e1, e2 = mp.exp(-s), mp.exp(-2 * s)
         S = (1 + s + s * s / 3) * e1
         Sp = (1 - s + s * s / 3) * mp.exp(s)
-        jp = (1 - (1 + s) * e2) / s
-        kp = (1 + s) * e1
-        j = 1 / s - (1 / s + mp.mpf(11) / 8 + 3 * s / 4 + s * s / 6) * e2
         k = ((6 / s) * ((mp.euler + mp.log(s)) * S * S - mp.e1(4 * s) * Sp * Sp
                         + 2 * mp.e1(2 * s) * S * Sp)
              - (mp.mpf(-25) / 8 + mp.mpf(23) / 4 * s + 3 * s * s + s ** 3 / 3) * e2) / 5
-        l = s * e1 + (mp.mpf(1) / 8 + 5 / (16 * s)) * e1 * (1 - e2)
-        m = mp.mpf(5) / 8
+        return {"S": S, "jp": (1 - (1 + s) * e2) / s, "kp": (1 + s) * e1,
+                "j": 1 / s - (1 / s + mp.mpf(11) / 8 + 3 * s / 4 + s * s / 6) * e2,
+                "k": k, "l": s * e1 + (mp.mpf(1) / 8 + 5 / (16 * s)) * e1 * (1 - e2),
+                "m": mp.mpf(5) / 8}
+
+
+def record(s, variant="corrected", unit="rydberg"):
+    """Field name -> mpf value at the float s."""
+    with mp.workdps(DPS):
+        ints = integrals(s)
+        S, jp, kp, j, k, l, m = (ints[n] for n in ("S", "jp", "kp", "j", "k", "l", "m"))
+        s = mp.mpf(s)
         one = 1 / s - 1
         h11 = one - 2 * (jp + kp) / (1 + S) + (j + 2 * k + m + 4 * l) / (2 * (1 + S) ** 2)
         h12 = (m - j) / (2 * (1 - S * S))

@@ -342,6 +342,18 @@ def test_verify_output_is_pinned(capsys):
     assert code == 1
 
 
+def test_verify_passes_at_its_defaults(capsys):
+    # the default sample count is sized so that every Monte Carlo sigma is
+    # within MC_SIGMA_MAX and every check of the default report passes
+    code, out, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    assert out.endswith("result: PASS\n")
+    sigmas = [float(word[len("sigma="):]) for word in out.split() if word.startswith("sigma=")]
+    assert len(sigmas) == 19
+    assert max(sigmas) <= h2ent.cli.MC_SIGMA_MAX
+    assert "FAIL" not in out
+
+
 @pytest.mark.parametrize("command", [
     ["scan", "--s-min", "1", "--s-max", "2", "--steps", "1000000000000000"],
     ["figure", "--which", "fig1", "--steps", "1000000000000000"],
@@ -370,24 +382,34 @@ def test_module_entry_point_runs():
 
 
 def test_point_and_scan_do_not_import_scipy():
-    # scipy serves only the verify oracle; it is imported on first use, and
-    # so is the oracle's thread pool
+    # the oracle is numpy alone: its quadrature rules, like the oracle's
+    # thread pool, are built on first use, and neither scipy nor
+    # numpy.polynomial is imported, not even by verify
     code = ("import sys, io, contextlib\n"
             "import h2ent.cli\n"
-            "assert 'scipy' not in sys.modules, 'import h2ent.cli'\n"
-            # nor is the Monte Carlo radius table built before verify needs it
+            "from h2ent.oracle import _exp_sinh, _tanh_sinh\n"
             "from h2ent._mc_kernels import _radius_table\n"
-            "assert _radius_table.cache_info().currsize == 0, 'import h2ent.cli'\n"
+            "def built():\n"
+            "    return [f.cache_info().currsize for f in (_exp_sinh, _tanh_sinh, _radius_table)]\n"
+            "def loaded():\n"
+            "    return [m for m in ('scipy', 'numpy.polynomial') if m in sys.modules]\n"
+            "assert loaded() == [], 'import h2ent.cli'\n"
+            # nor is the Monte Carlo radius table built before verify needs it
+            "assert built() == [0, 0, 0], 'import h2ent.cli'\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert h2ent.cli.main(['point', '--s', '1.5']) == 0\n"
             "    assert h2ent.cli.main(['scan', '--s-min', '1', '--s-max', '2',"
             " '--steps', '5']) == 0\n"
-            "assert 'scipy' not in sys.modules, 'point/scan'\n"
-            "assert _radius_table.cache_info().currsize == 0, 'point/scan'\n"
+            "assert loaded() == [], 'point/scan'\n"
+            "assert built() == [0, 0, 0], 'point/scan'\n"
             # the thread pool serves only the Monte Carlo oracle
             "import threading\n"
             "assert 'concurrent.futures' not in sys.modules, 'point/scan'\n"
-            "assert threading.active_count() == 1, threading.enumerate()\n")
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    h2ent.cli.main(['verify', '--samples', '10000'])\n"
+            "assert loaded() == [], 'verify'\n"
+            "assert built() == [1, 1, 1], 'verify'\n")
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
 

@@ -34,6 +34,15 @@ def test_s_prime_values():
     assert s_prime(1.0) == pytest.approx(0.9060939428196817, rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf, 700.0, 800.0])
+def test_s_prime_domain_errors(bad):
+    # like overlap and kprime it accepts finite s >= 0; past about s = 697
+    # the value leaves float64 (700: the product overflows to inf, 800:
+    # math.exp itself overflows), and both are refused the same way
+    with pytest.raises(ValueError, match="s_prime"):
+        s_prime(bad)
+
+
 def test_s_prime_product_even_in_s():
     # S(s) S'(s) = 1 - s^2/3 + s^4/9 exactly, an even polynomial
     for s in (0.3, 1.0, 1.67, 2.5):

@@ -7,9 +7,10 @@ import pytest
 
 import h2ent._mc_kernels as kernels
 import h2ent.oracle as oracle
+import mpref
 from h2ent.integrals import coulomb_j, exchange_k, hybrid_l, overlap, jprime, kprime
 from h2ent.oracle import (BLOCK_ROWS, MC_KINDS, McEstimate, mc_two_electron, oracle_e1,
-                          quad_one_electron)
+                          quad_one_electron, quad_two_electron)
 from h2ent.specfun import EULER_GAMMA
 
 S_GRID = (0.5, 1.0, 1.67, 2.0, 4.0, 8.0)
@@ -35,6 +36,55 @@ def test_quadrature_rejects_bad_input():
         quad_one_electron("nope", 1.0)
     with pytest.raises(ValueError):
         quad_one_electron("overlap", -1.0)
+
+
+# the six verify distances and a log grid over [0.1, 20]
+TWO_ELECTRON_GRID = S_GRID + tuple(float(s) for s in np.geomspace(0.1, 20.0, 23))
+
+
+@pytest.mark.parametrize("kind", ["j", "k", "l", "m"])
+def test_two_electron_quadrature_matches_mpmath(kind):
+    for s in TWO_ELECTRON_GRID:
+        ref = float(mpref.integrals(s)[kind])
+        assert abs(quad_two_electron(kind, s) - ref) <= 1e-12 * ref, s
+
+
+def test_legendre_q_against_mpmath():
+    # mu - 1 from 1e-12 (the log singularity) to 1e3, and both sides of the
+    # switch to the Q_2 series at mu = 4, where P_2 Q_0 - 3mu/2 cancels most
+    d = np.concatenate((np.geomspace(1e-12, 1e3, 200), [3.0 - 1e-9, 3.0, 3.0 + 1e-9]))
+    q0, q2 = oracle._legendre_q(d)
+    with mpmath.workdps(40):
+        for di, got0, got2 in zip(d, q0, q2):
+            mu = 1 + mpmath.mpf(di)
+            ref0 = mpmath.log((mu + 1) / (mu - 1)) / 2
+            ref2 = (3 * mu * mu - 1) / 2 * ref0 - 3 * mu / 2
+            assert abs(got0 - ref0) <= 1e-15 * ref0, di
+            assert abs(got2 - ref2) <= 1e-12 * ref2, di
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quad_one_electron("overlap", 1.0, tol=1e-12),
+    lambda: quad_two_electron("m", 1.0),
+    lambda: quad_two_electron("j", 1.67),
+    lambda: quad_two_electron("k", 1.67),
+    lambda: quad_two_electron("l", 1.67),
+    lambda: oracle_e1(1e-3),
+])
+def test_too_coarse_rule_raises(call, monkeypatch):
+    call()
+    # at twice the step the step-h and step-2h sums differ by about 1e-8
+    monkeypatch.setattr(oracle, "DE_STEP", 2.0 * oracle.DE_STEP)
+    with pytest.raises(RuntimeError, match="did not reach"):
+        call()
+
+
+def test_two_electron_quadrature_rejects_bad_input():
+    with pytest.raises(ValueError):
+        quad_two_electron("overlap", 1.0)
+    for s in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            quad_two_electron("k", s)
 
 
 def test_mc_one_center_value():
@@ -303,6 +353,12 @@ def test_oracle_e1_frozen_values():
 def test_oracle_e1_small_x_consistency():
     x = 1e-3
     assert oracle_e1(x) + math.log(x) == pytest.approx(-EULER_GAMMA + x, abs=5e-4)
+
+
+def test_oracle_e1_against_mpmath_from_tiny_to_large_x():
+    for x in (1e-300, 1e-60, 1e-20, 1e-8, 3e-3, 0.7, 5.0, 50.0, 700.0):
+        ref = float(mpmath.e1(x))
+        assert abs(oracle_e1(x) - ref) <= 1e-14 * ref, x
 
 
 def test_oracle_e1_rejects_bad_input():

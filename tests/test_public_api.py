@@ -53,6 +53,7 @@ API = {
     "ground_entropy": "(c1: float, c2: float) -> float",
     "McEstimate": "(mean: float, stderr: float, n_samples: int, seed: int) -> None",
     "quad_one_electron": "(kind: str, s: float, tol: float = 1e-08) -> float",
+    "quad_two_electron": "(kind: str, s: float, tol: float = 1e-12) -> float",
     "mc_two_electron": "(kind: str, s: float, n_samples: int, seed: int) "
                        "-> h2ent.oracle.McEstimate",
     "oracle_e1": "(x: float, tol: float = 1e-13) -> float",
