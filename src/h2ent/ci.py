@@ -194,9 +194,10 @@ def ci_table(s, variant: str = "corrected") -> CiSolution:
     return solve_table(block_table(s, variant))
 
 
-def _check_coefficients(c1: float, c2: float) -> None:
-    if abs(c1 * c1 + c2 * c2 - 1.0) > _COEFF_NORM_TOL:
-        raise ValueError(f"coefficients not normalized: c1^2 + c2^2 = {c1 * c1 + c2 * c2!r}")
+def _check_coefficients(c1: float, c2: float, name: str) -> None:
+    # written so that NaN fails it too
+    if not abs(c1 * c1 + c2 * c2 - 1.0) <= _COEFF_NORM_TOL:
+        raise ValueError(f"{name} requires c1^2 + c2^2 = 1, got {c1 * c1 + c2 * c2!r}")
 
 
 def w_from_ci(c1: float, c2: float) -> AntisymW:
@@ -205,28 +206,27 @@ def w_from_ci(c1: float, c2: float) -> AntisymW:
     Basis order |a up>, |a down>, |b up>, |b down>; the spin-triplet entries
     w13, w24 vanish because the ground state is a singlet.
     """
-    _check_coefficients(c1, c2)
+    _check_coefficients(c1, c2, "w_from_ci")
     plus = (c1 + c2) / 4.0
     minus = (c1 - c2) / 4.0
-    w = np.zeros((4, 4), dtype=complex)
-    w[0, 1] = plus
-    w[2, 3] = plus
-    w[0, 3] = minus
-    w[1, 2] = -minus
-    w -= w.T.copy()
-    # exact normalization guard against accumulated input round-off
-    nrm2 = float(np.sum(np.abs(w) ** 2))
-    w *= math.sqrt(0.5 / nrm2)
+    # exact normalization guard against accumulated input round-off.  The sum
+    # of the 16 squared moduli, as numpy's pairwise sum adds them, is exactly
+    # 4 (plus^2 + minus^2); the lower triangle is 0 - upper, as w - w.T gives
+    # it, so that a zero entry stays +0.0
+    scale = math.sqrt(0.5 / (4.0 * (plus * plus + minus * minus)))
+    p, m = plus * scale, minus * scale
+    w = np.array([[0.0, p, 0.0, m], [0.0 - p, 0.0, -m, 0.0],
+                  [0.0, 0.0 + m, 0.0, p], [0.0 - m, 0.0, 0.0 - p, 0.0]], dtype=complex)
     return AntisymW(n=4, w=w)
 
 
 def ground_concurrence(c1: float, c2: float) -> float:
     """Concurrence of the CI ground state: 2 |c1 c2|."""
-    _check_coefficients(c1, c2)
+    _check_coefficients(c1, c2, "ground_concurrence")
     return 2.0 * abs(c1 * c2)
 
 
 def ground_entropy(c1: float, c2: float) -> float:
     """Single-particle entropy of the CI ground state: 1 + H2(c1^2)."""
-    _check_coefficients(c1, c2)
+    _check_coefficients(c1, c2, "ground_entropy")
     return 1.0 + binary_entropy(min(max(c1 * c1, 0.0), 1.0))

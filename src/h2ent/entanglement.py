@@ -96,14 +96,17 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
     nrm2 = float(np.sum(np.abs(w) ** 2))
     if nrm2 == 0.0:
         raise ValueError("all-zero coefficient matrix does not define a state")
+    if not math.isfinite(nrm2):
+        raise ValueError(f"make_antisym requires finite entries, got sum |w_ij|^2 = {nrm2!r}")
     w *= math.sqrt(0.5 / nrm2)
     return AntisymW(n=n, w=w)
 
 
-def _check_normalized(w: AntisymW) -> None:
-    nrm2 = float(np.sum(np.abs(w.w) ** 2))
-    if abs(nrm2 - 0.5) > 1e-10:
-        raise ValueError(f"AntisymW is not normalized: sum |w_ij|^2 = {nrm2!r}")
+def _check_normalized(w: AntisymW, name: str) -> None:
+    nrm2 = float(np.vdot(w.w, w.w).real)
+    # written so that NaN fails it too
+    if not abs(nrm2 - 0.5) <= 1e-10:
+        raise ValueError(f"{name} requires a normalized AntisymW, got sum |w_ij|^2 = {nrm2!r}")
 
 
 def _pfaffian4(w: np.ndarray) -> complex:
@@ -131,25 +134,27 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
 
     Raises
     ------
+    ValueError
+        If ``w`` is not normalized (non-finite entries included).
     RuntimeError
         If the eigenvalue pairing is violated.
     numpy.linalg.LinAlgError
         If the Hermitian eigensolver itself fails (surfaced, not masked).
     """
-    _check_normalized(w)
-    h = w.w.conj().T @ w.w
-    evals = np.linalg.eigvalsh(h)          # ascending, real
-    evals = evals[::-1]                    # descending
-    evals = np.where(evals < 0.0, 0.0, evals)
-    pairs = evals.reshape(-1, 2)
-    mismatch = float(np.max(np.abs(pairs[:, 0] - pairs[:, 1])))
+    _check_normalized(w, "slater_decompose")
+    # a handful of numbers: past the eigensolver, Python floats are cheaper
+    # than numpy calls, and do the same arithmetic
+    evals = np.linalg.eigvalsh(w.w.conj().T @ w.w).tolist()[::-1]   # descending
+    evals = [0.0 if e < 0.0 else e for e in evals]
+    pairs = list(zip(evals[::2], evals[1::2], strict=True))
+    mismatch = max(abs(a - b) for a, b in pairs)
     if mismatch > PAIR_TOL:
         raise RuntimeError(
             f"eigenvalues of w^dag w are not doubly degenerate (mismatch {mismatch:.3e}); "
             "input is not a normalized antisymmetric matrix")
-    z = np.sqrt(pairs.mean(axis=1))
-    z = np.sort(z)[::-1]
-    return SlaterSpectrum(z=z, n=w.n)
+    # descending as the eigenvalues are, since rounding is monotone
+    z = [math.sqrt((a + b) / 2.0) for a, b in pairs]
+    return SlaterSpectrum(z=np.array(z), n=w.n)
 
 
 def slater_rank(spec: SlaterSpectrum, tol: float = 1e-10) -> int:
@@ -165,7 +170,7 @@ def reduced_density(w: AntisymW) -> np.ndarray:
     Hermitian with unit trace; its eigenvalues are {2 z_k^2}, each doubly
     degenerate.
     """
-    _check_normalized(w)
+    _check_normalized(w, "reduced_density")
     return 2.0 * (w.w.conj().T @ w.w).T
 
 
@@ -174,7 +179,17 @@ def von_neumann_entropy(spec: SlaterSpectrum) -> float:
 
     Ranges from 1 (single Slater determinant) to log2 n for even n.
     Coefficients with z_k^2 below 1e-14 are treated as exact zeros.
+
+    Raises
+    ------
+    ValueError
+        If a coefficient is not finite.
     """
-    z2 = spec.z.astype(float) ** 2
-    z2 = z2[z2 > _LOG_CLAMP]
-    return -1.0 - 4.0 * float(np.sum(z2 * np.log2(z2)))
+    z2 = np.asarray(spec.z, dtype=float) ** 2
+    # a NaN or infinite z_k^2 is kept, so that it makes the sum non-finite
+    z2 = z2[~(z2 <= _LOG_CLAMP)]
+    entropy = -1.0 - 4.0 * float((z2 * np.log2(z2)).sum())
+    if not math.isfinite(entropy):
+        raise ValueError(f"von_neumann_entropy requires finite Slater coefficients, "
+                         f"got z = {spec.z!r}")
+    return entropy

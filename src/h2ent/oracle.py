@@ -85,8 +85,8 @@ _EXP_SINH_T_MIN = -4.8
 _EXP_SINH_X_MAX = 800.0
 # Q_2(mu) from its hypergeometric series above this mu, where P_2 Q_0 - 3mu/2
 # cancels; the series converges like mu^-2n
-_Q2_SERIES_MU = 4.0
-_Q2_SERIES_TERMS = 16
+_Q2_SERIES_MU = 2.0
+_Q2_SERIES_TERMS = 28
 
 # guard against u == 0 / u == 1 in the inverse-CDF transform
 _U_LO = 1e-16
@@ -213,7 +213,7 @@ def _legendre_q(d):
 
     Q_0 = ln((mu + 1) / (mu - 1)) / 2 = log1p(2 / d) / 2 is taken from
     d = mu - 1 itself, so it keeps its digits at the log singularity mu -> 1
-    and as mu grows.  Q_2 = P_2 Q_0 - 3mu/2 up to mu = 4, and above it
+    and as mu grows.  Q_2 = P_2 Q_0 - 3mu/2 up to mu = 2, and above it
     (2 / 15 mu^3) 2F1(3/2, 2; 7/2; 1/mu^2), where that difference cancels."""
     mu = 1.0 + d
     q0 = 0.5 * np.log1p(2.0 / d)

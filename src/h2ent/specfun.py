@@ -21,6 +21,7 @@ is written once, as f(s, xp), over MATH_XP for one point or NUMPY_XP for arrays.
 """
 
 import math
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +35,8 @@ _SERIES_CUTOFF = 1.0
 _SERIES_MAX_TERMS = 80
 _CF_MAX_ITER = 500
 _CF_TINY = 1e-300
+# the numerators -k^2 of the continued fraction, k = 1, 2, ...
+_CF_NUMERATORS = tuple(-float(k * k) for k in range(1, _CF_MAX_ITER))
 
 
 def _e1_series(x: float) -> float:
@@ -54,14 +57,17 @@ def _e1_continued_fraction(x: float) -> float:
     c = 1.0 / _CF_TINY
     d = 1.0 / b
     h = d
-    for k in range(1, _CF_MAX_ITER):
-        a = -float(k * k)
+    # _CF_MAX_ITER is read per call, so that it bounds this loop as it does
+    # the array one
+    for a in islice(_CF_NUMERATORS, _CF_MAX_ITER - 1):
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        # the array loop's |delta - 1| < 1e-16: the floats next to 1.0 are
+        # 1 - 2^-53 and 1 + 2^-52, both farther from it than 1e-16
+        if delta == 1.0:
             return h * math.exp(-x)
     raise RuntimeError(f"E1 continued fraction failed to converge for x={x!r}")
 

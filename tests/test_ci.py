@@ -210,6 +210,11 @@ def test_w_from_ci_rejects_unnormalized():
         w_from_ci(1.0, 0.5)
 
 
+def test_w_from_ci_rejects_nan():
+    with pytest.raises(ValueError, match="w_from_ci"):
+        w_from_ci(math.nan, 1.0)
+
+
 def test_concurrence_chain_identity(rng):
     for _ in range(100):
         th = rng.uniform(0.0, 2.0 * math.pi)
@@ -246,3 +251,10 @@ def test_ground_measures_reject_unnormalized():
         ground_concurrence(1.0, 1.0)
     with pytest.raises(ValueError):
         ground_entropy(0.2, 0.2)
+
+
+def test_ground_concurrence_rejects_nan():
+    with pytest.raises(ValueError, match="ground_concurrence"):
+        ground_concurrence(math.nan, math.nan)
+    with pytest.raises(ValueError, match="ground_entropy"):
+        ground_entropy(math.nan, 1.0)

@@ -43,6 +43,13 @@ def test_make_antisym_rejects_bad_input():
         make_antisym([1.0, 2.0], n=4)          # wrong entry count
 
 
+def test_make_antisym_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="make_antisym"):
+        make_antisym([math.nan] * 6)
+    with pytest.raises(ValueError, match="make_antisym"):
+        make_antisym([math.inf, 0, 0, 0, 0, 0])
+
+
 def test_concurrence_of_single_slater_determinant_is_zero():
     w = make_antisym([1.0, 0, 0, 0, 0, 0], n=4)
     assert concurrence4(w) == pytest.approx(0.0, abs=1e-15)
@@ -100,6 +107,11 @@ def test_slater_rank_counts_above_tolerance():
         slater_rank(spec, 0.0)
 
 
+def test_reduced_density_rejects_nan():
+    with pytest.raises(ValueError, match="reduced_density"):
+        reduced_density(AntisymW(n=4, w=np.full((4, 4), np.nan, dtype=complex)))
+
+
 def test_reduced_density_of_block_state():
     w = make_antisym([1.0, 0, 0, 0, 0, 0], n=4)
     rho = reduced_density(w)
@@ -127,6 +139,12 @@ def test_entropy_of_single_determinant_is_one():
 def test_entropy_of_maximally_mixed_state_is_two():
     spec = SlaterSpectrum(z=np.array([INV_SQRT8, INV_SQRT8]), n=4)
     assert von_neumann_entropy(spec) == pytest.approx(2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("z", [[math.nan, math.nan], [0.5, math.nan], [math.inf, 0.0]])
+def test_entropy_rejects_non_finite_coefficients(z):
+    with pytest.raises(ValueError, match="von_neumann_entropy"):
+        von_neumann_entropy(SlaterSpectrum(z=z, n=4))
 
 
 def test_entropy_reduces_to_binary_entropy_for_two_blocks():

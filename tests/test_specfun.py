@@ -87,6 +87,21 @@ def test_e1_array_raises_when_the_fraction_does_not_converge(monkeypatch):
         specfun.exp_integral_e1(1.5)
 
 
+def test_integral_set_calls_e1_twice_through_the_module(monkeypatch):
+    # a profiler wraps specfun.exp_integral_e1 from outside; the integrals
+    # must reach E1 through that name, at k's two arguments 2s and 4s
+    import h2ent.specfun as specfun
+    from h2ent.integrals import integral_set
+
+    calls = []
+    inner = specfun.exp_integral_e1
+    monkeypatch.setattr(specfun, "exp_integral_e1", lambda x: calls.append(x) or inner(x))
+    for s in (1e-3, 0.3, 1.0, 1.67, 20.0, 650.0):
+        calls.clear()
+        integral_set(s)
+        assert sorted(calls) == [2.0 * s, 4.0 * s], s
+
+
 def _gamma_richardson(n0=10_000, levels=7):
     # limit of H_N - ln N, accelerated over N = n0 * 2^i
     terms = [1.0 / k for k in range(1, n0 * 2 ** (levels - 1) + 1)]
