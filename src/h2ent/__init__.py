@@ -9,6 +9,10 @@ internuclear distance s = R/a0:
   Slater decomposition, reduced density matrix, von Neumann entropy,
 * an independent quadrature / Monte Carlo oracle validating every closed
   form, exposed through the `h2e verify` command.
+
+Importing the package loads no numpy: the scalar path is `math` alone, the
+array functions import numpy on first use, and the oracle names below load
+the (numpy-native) oracle on first access.
 """
 
 from .specfun import EULER_GAMMA, binary_entropy, exp_integral_e1, exp_integral_e1_array
@@ -20,8 +24,6 @@ from .entanglement import (AntisymW, SlaterSpectrum, concurrence4, make_antisym,
 from .ci import (E1S, CiSolution, HamiltonianBlock, block_table, ci_solve, ci_table,
                  ground_concurrence, ground_entropy, hamiltonian_block, solve_block,
                  solve_table, w_from_ci)
-from .oracle import (McEstimate, mc_two_electron, oracle_e1, quad_one_electron,
-                     quad_two_electron)
 from .scan import ScanConfig, ScanRecord, record_at, scan_records, scan_table
 
 __version__ = "0.1.0"
@@ -39,3 +41,14 @@ __all__ = [
     "McEstimate", "quad_one_electron", "quad_two_electron", "mc_two_electron", "oracle_e1",
     "ScanConfig", "ScanRecord", "record_at", "scan_records", "scan_table",
 ]
+
+_ORACLE_NAMES = ("McEstimate", "mc_two_electron", "oracle_e1", "quad_one_electron",
+                 "quad_two_electron")
+
+
+def __getattr__(name):
+    # PEP 562: resolves the oracle's names on first access
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,17 +32,15 @@ whose concurrence is exactly 2 |c1 c2| and whose Slater coefficients are
 block_table, solve_table and ci_table take arrays of distances, and each
 HamiltonianBlock / CiSolution field is then an array.  The block is plain
 arithmetic and the solve one function of (block, xp), evaluated over
-specfun.MATH_XP for one point and over specfun.NUMPY_XP for arrays.
+specfun.MATH_XP for one point and over specfun.numpy_xp() for arrays.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .entanglement import AntisymW
 from .integrals import integral_set, integral_table
-from .specfun import MATH_XP, NUMPY_XP, binary_entropy
+from .specfun import MATH_XP, binary_entropy, numpy_xp
 
 __all__ = [
     "E1S",
@@ -143,6 +141,7 @@ def _solve(block: HamiltonianBlock, xp) -> CiSolution:
     closed_c1_sq = 0.5 + 0.5 / xp.sqrt(1.0 + t * t)
     bad = lower & (abs(closed_c1_sq - c1 * c1) > _CLOSED_FORM_TOL)
     if xp.any(bad):
+        import numpy as np
         closed, eig, s = (float(np.asarray(x)[bad].flat[0])
                           for x in (closed_c1_sq, c1 * c1, block.s))
         raise RuntimeError(f"closed-form c1^2 {closed!r} disagrees with eigenvector "
@@ -186,7 +185,7 @@ def solve_table(block: HamiltonianBlock) -> CiSolution:
         If the closed-form c1^2 disagrees with the eigenvector beyond 1e-10
         at any element with H11 < H22.
     """
-    return _solve(block, NUMPY_XP)
+    return _solve(block, numpy_xp())
 
 
 def ci_table(s, variant: str = "corrected") -> CiSolution:
@@ -206,6 +205,7 @@ def w_from_ci(c1: float, c2: float) -> AntisymW:
     Basis order |a up>, |a down>, |b up>, |b down>; the spin-triplet entries
     w13, w24 vanish because the ground state is a singlet.
     """
+    import numpy as np
     _check_coefficients(c1, c2, "w_from_ci")
     plus = (c1 + c2) / 4.0
     minus = (c1 - c2) / 4.0

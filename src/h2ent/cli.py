@@ -7,7 +7,9 @@ MIN_DISTANCE, where they lose digits, or a grid or sample count too large
 for the memory), 3 I/O error.  Data goes to
 stdout or --out; diagnostics go to stderr.  Output is deterministic:
 identical arguments give byte-identical bytes.  --parallel (and
-$H2E_PARALLEL) is validated but evaluation is always serial.
+$H2E_PARALLEL) is validated but evaluation is always serial.  `point` never
+loads numpy: the grid commands import it where their arrays start, and the
+oracle, which needs it throughout, is imported by `verify` alone.
 """
 
 import argparse
@@ -15,13 +17,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .ci import H22_VARIANTS
 from .integrals import coulomb_j, exchange_k, hybrid_l, one_center_m, overlap, jprime, kprime
-from .oracle import (MIN_SAMPLES, mc_two_electron, oracle_e1, quad_one_electron,
-                     quad_two_electron)
 from .scan import (FIG3_DEFAULT_STEPS, FIGURES, SCAN_FIELDS, ScanConfig, UNIT_FACTORS,
                    figure_table, record_at, render_csv, render_json, scan_table)
 from .specfun import exp_integral_e1
@@ -126,6 +124,7 @@ def _check_distance(option: str, s: float) -> None:
 
 
 def _require_finite(fields, table) -> None:
+    import numpy as np
     finite = np.isfinite(table)
     if not finite.all():
         first = int(np.argmin(finite.all(axis=1)))
@@ -161,7 +160,8 @@ def _cmd_point(args) -> int:
         return EXIT_USAGE
     try:
         rec = record_at(args.s, args.h22, args.unit)
-        _require_finite(SCAN_FIELDS, np.array([rec.values()]))
+        if not all(map(math.isfinite, rec.values())):
+            raise ValueError(f"non-finite result at {SCAN_FIELDS[0]} = {float(rec.s)!r}")
     except (ArithmeticError, ValueError) as exc:
         return _refuse_evaluation(exc)
     lines = [f"unit = {args.unit}", f"h22 = {args.h22}"]
@@ -215,6 +215,7 @@ def _cmd_figure(args) -> int:
 def _ci_minimum(variant: str):
     """(min e_ci, argmin s) in rydberg relative to 2 E1s, on a fine grid;
     the first of equal minima."""
+    import numpy as np
     table = scan_table(ScanConfig(s_min=1.0, s_max=2.5, steps=1501, unit="rydberg",
                                   h22_variant=variant))
     e_ci = table[:, SCAN_FIELDS.index("e_ci")]
@@ -223,6 +224,11 @@ def _ci_minimum(variant: str):
 
 
 def _cmd_verify(args) -> int:
+    import numpy as np
+
+    from .oracle import (MIN_SAMPLES, mc_two_electron, oracle_e1, quad_one_electron,
+                         quad_two_electron)
+
     if args.seed < 0:
         _err(f"--seed must be >= 0, got {args.seed}")
         return EXIT_USAGE

@@ -18,13 +18,12 @@ Implemented measures:
 * single-particle reduced density matrix rho = 2 (w^dag w)^T
 * von Neumann entropy  S = -1 - 4 sum_k z_k^2 log2 z_k^2   in [1, log2 n]
 
-Everything is a pure function; no shared state.
+Everything is a pure function; no shared state.  numpy is imported by the
+functions that use it, so that importing this module does not load it.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "AntisymW",
@@ -37,7 +36,8 @@ __all__ = [
     "von_neumann_entropy",
 ]
 
-NORM_TOL = 1e-12
+# allowed deviation of sum |w_ij|^2 from 1/2, and of sum z_k^2 from 1/4
+NORM_TOL = 1e-10
 # eigenvalues of w^dag w must come in equal pairs; a worse mismatch means the
 # input was not antisymmetric/normalized and is reported, never masked
 PAIR_TOL = 1e-8
@@ -57,14 +57,14 @@ class AntisymW:
     """
 
     n: int
-    w: np.ndarray
+    w: "numpy.ndarray"
 
 
 @dataclass(frozen=True, eq=False)
 class SlaterSpectrum:
     """Nonnegative Slater coefficients z_k, sorted descending; sum z_k^2 = 1/4."""
 
-    z: np.ndarray
+    z: "numpy.ndarray"
     n: int
 
 
@@ -83,6 +83,7 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
     AntisymW
         The antisymmetric completion rescaled so sum |w_ij|^2 = 1/2.
     """
+    import numpy as np
     if n < 2 or n % 2 != 0:
         raise ValueError(f"single-particle dimension must be even and >= 2, got {n}")
     entries = np.asarray(upper_entries, dtype=complex).ravel()
@@ -103,13 +104,14 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
 
 
 def _check_normalized(w: AntisymW, name: str) -> None:
+    import numpy as np
     nrm2 = float(np.vdot(w.w, w.w).real)
     # written so that NaN fails it too
-    if not abs(nrm2 - 0.5) <= 1e-10:
+    if not abs(nrm2 - 0.5) <= NORM_TOL:
         raise ValueError(f"{name} requires a normalized AntisymW, got sum |w_ij|^2 = {nrm2!r}")
 
 
-def _pfaffian4(w: np.ndarray) -> complex:
+def _pfaffian4(w) -> complex:
     return (w[0, 1] * w[2, 3] - w[0, 2] * w[1, 3] + w[0, 3] * w[1, 2])
 
 
@@ -118,10 +120,19 @@ def concurrence4(w: AntisymW) -> float:
 
     C = 8 |w12 w34 + w13 w42 + w14 w23| in [0, 1]; zero iff the state is a
     single Slater determinant.
+
+    Raises
+    ------
+    ValueError
+        If n != 4, or if one of the six entries it reads is not finite.
     """
     if w.n != 4:
         raise ValueError(f"concurrence4 is defined for n = 4, got n = {w.n}")
-    return 8.0 * abs(_pfaffian4(w.w))
+    # a non-finite entry of the pfaffian makes it non-finite
+    c = 8.0 * abs(_pfaffian4(w.w))
+    if not math.isfinite(c):
+        raise ValueError(f"concurrence4 requires finite entries, got C = {c!r}")
+    return c
 
 
 def slater_decompose(w: AntisymW) -> SlaterSpectrum:
@@ -141,6 +152,7 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
     numpy.linalg.LinAlgError
         If the Hermitian eigensolver itself fails (surfaced, not masked).
     """
+    import numpy as np
     _check_normalized(w, "slater_decompose")
     # a handful of numbers: past the eigensolver, Python floats are cheaper
     # than numpy calls, and do the same arithmetic
@@ -158,13 +170,24 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
 
 
 def slater_rank(spec: SlaterSpectrum, tol: float = 1e-10) -> int:
-    """Number of Slater coefficients above tol (the Slater number)."""
+    """Number of Slater coefficients above tol (the Slater number).
+
+    Raises
+    ------
+    ValueError
+        If ``tol`` is not positive or a coefficient is not finite.
+    """
+    import numpy as np
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    return int(np.count_nonzero(spec.z > tol))
+    # a handful of numbers: Python floats are cheaper than numpy calls
+    z = np.asarray(spec.z, dtype=float).tolist()
+    if not all(map(math.isfinite, z)):
+        raise ValueError(f"slater_rank requires finite Slater coefficients, got z = {spec.z!r}")
+    return sum(v > tol for v in z)
 
 
-def reduced_density(w: AntisymW) -> np.ndarray:
+def reduced_density(w: AntisymW) -> "numpy.ndarray":
     """Single-particle reduced density matrix rho_{nu mu} = 2 (w^dag w)_{mu nu}.
 
     Hermitian with unit trace; its eigenvalues are {2 z_k^2}, each doubly
@@ -183,13 +206,15 @@ def von_neumann_entropy(spec: SlaterSpectrum) -> float:
     Raises
     ------
     ValueError
-        If a coefficient is not finite.
+        If a coefficient is not finite, or sum z_k^2 is off 1/4 by more
+        than NORM_TOL.
     """
+    import numpy as np
     z2 = np.asarray(spec.z, dtype=float) ** 2
-    # a NaN or infinite z_k^2 is kept, so that it makes the sum non-finite
-    z2 = z2[~(z2 <= _LOG_CLAMP)]
-    entropy = -1.0 - 4.0 * float((z2 * np.log2(z2)).sum())
-    if not math.isfinite(entropy):
-        raise ValueError(f"von_neumann_entropy requires finite Slater coefficients, "
-                         f"got z = {spec.z!r}")
-    return entropy
+    total = sum(z2.tolist())
+    # written so that NaN fails it too
+    if not abs(total - 0.25) <= NORM_TOL:
+        raise ValueError(f"von_neumann_entropy requires finite Slater coefficients with "
+                         f"sum z_k^2 = 1/4, got {total!r} from z = {spec.z!r}")
+    z2 = z2[z2 > _LOG_CLAMP]
+    return -1.0 - 4.0 * float((z2 * np.log2(z2)).sum())

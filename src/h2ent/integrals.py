@@ -19,15 +19,13 @@ oracle (see the oracle module and `h2e verify`).
 
 Each closed form is written once, as a function of (s, xp): the public
 scalar functions check their input and evaluate it over specfun.MATH_XP,
-integral_table evaluates the same function over specfun.NUMPY_XP.
+integral_table evaluates the same function over specfun.numpy_xp().
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .specfun import EULER_GAMMA, MATH_XP, NUMPY_XP
+from .specfun import EULER_GAMMA, MATH_XP, numpy_xp
 
 __all__ = [
     "IntegralSet",
@@ -214,8 +212,10 @@ def integral_table(s) -> IntegralSet:
     scalar 5/8).  Non-finite values from overflow are returned, not raised;
     callers that need finite results check them.
     """
+    import numpy as np
     s = np.asarray(s, dtype=np.float64)
     if not (np.isfinite(s).all() and (s > 0.0).all()):
         raise ValueError("integral_table requires finite s > 0 everywhere")
-    k = np.where(s < EXCHANGE_SMALL_S, _exchange_blend(s), _exchange_closed(s, NUMPY_XP))
-    return _integral_set(s, NUMPY_XP, k)
+    xp = numpy_xp()
+    k = np.where(s < EXCHANGE_SMALL_S, _exchange_blend(s), _exchange_closed(s, xp))
+    return _integral_set(s, xp, k)

@@ -9,17 +9,17 @@ pure function of (s, variant, unit) and rows are emitted in grid order.
 record_at evaluates one point over `math`; scan_table evaluates a grid as
 one (n, 8) float64 table over numpy, rendered in one pass.  Both derive the
 energy, coefficient and concurrence columns from the CI solution with one
-helper; only the entropy's 0 log 0 = 0 case is written per path.
+helper; only the entropy's 0 log 0 = 0 case is written per path.  numpy is
+imported by the functions that build or read arrays, so that record_at never
+loads it.
 """
 
 import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ci import E1S, H22_VARIANTS, ci_solve, ci_table, ground_entropy
-from .specfun import NUMPY_XP, _binary_entropy
+from .specfun import _binary_entropy, numpy_xp
 
 __all__ = [
     "UNIT_FACTORS",
@@ -116,19 +116,21 @@ def record_at(s: float, variant: str = "corrected", unit: str = "rydberg") -> Sc
                       ground_entropy(sol.c1, sol.c2))
 
 
-def grid_values(s_min: float, s_max: float, steps: int) -> np.ndarray:
+def grid_values(s_min: float, s_max: float, steps: int) -> "numpy.ndarray":
     """Uniform inclusive grid of `steps` points on [s_min, s_max]: s_min + i h."""
+    import numpy as np
     h = (s_max - s_min) / (steps - 1)
     return s_min + np.arange(steps) * h
 
 
-def scan_table(config: ScanConfig) -> np.ndarray:
+def scan_table(config: ScanConfig) -> "numpy.ndarray":
     """All sweep rows as an (n, 8) float64 array, columns in SCAN_FIELDS order.
 
     Rows are ordered by s.  Points the float64 closed forms cannot evaluate
     come out non-finite (without floating-point warnings), so callers check
     np.isfinite(table).all().
     """
+    import numpy as np
     config.validate()
     s = grid_values(config.s_min, config.s_max, config.steps)
     table = np.empty((len(s), len(SCAN_FIELDS)))
@@ -139,7 +141,8 @@ def scan_table(config: ScanConfig) -> np.ndarray:
             table[:, col] = values
         # ground_entropy: 1 + binary entropy of c1^2, 0 log 0 = 0
         p = np.clip(table[:, 4], 0.0, 1.0)
-        table[:, 7] = 1.0 + np.where((p == 0.0) | (p == 1.0), 0.0, _binary_entropy(p, NUMPY_XP))
+        table[:, 7] = 1.0 + np.where((p == 0.0) | (p == 1.0), 0.0,
+                                     _binary_entropy(p, numpy_xp()))
     return table
 
 
@@ -150,6 +153,7 @@ def scan_records(config: ScanConfig):
 
 def render_csv(fields, rows) -> str:
     """Header and rows (an (n, len(fields)) table) as CSV, '%.12g' per value."""
+    import numpy as np
     table = np.asarray(rows, dtype=np.float64).reshape(-1, len(fields))
     line = ",".join(["%.12g"] * len(fields)) + "\n"
     return ",".join(fields) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
@@ -169,6 +173,7 @@ def _json_number(token: str) -> str:
 def render_json(fields, rows) -> str:
     """Rows as a JSON list of objects, the bytes of json.dumps(..., indent=1)
     of the rows rounded to 12 significant digits."""
+    import numpy as np
     table = np.asarray(rows, dtype=np.float64).reshape(-1, len(fields))
     if len(table) == 0:
         return "[]\n"
@@ -189,6 +194,7 @@ def figure_table(which: str, config: ScanConfig):
     if which not in FIGURES:
         raise ValueError(f"unknown figure {which!r}; expected one of {FIGURES}")
     if which == "fig3":
+        import numpy as np
         config.validate()
         c1 = grid_values(0.0, 1.0, config.steps)
         conc = 2.0 * np.abs(c1) * np.sqrt(np.maximum(1.0 - c1 * c1, 0.0))

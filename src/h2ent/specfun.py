@@ -17,14 +17,15 @@ operation per step, and retires each element at the step where the scalar
 loop would stop; it differs from the scalar only through numpy's log and
 exp, by a few ulp.  E1 is the one function written twice: sharing one loop
 would put numpy's per-call cost on the scalar path.  Every other closed form
-is written once, as f(s, xp), over MATH_XP for one point or NUMPY_XP for arrays.
+is written once, as f(s, xp), over MATH_XP for one point or numpy_xp() for
+arrays.  numpy is imported by the functions that build or read arrays, so
+that the scalar path never loads it.
 """
 
+import functools
 import math
 from itertools import islice
 from types import SimpleNamespace
-
-import numpy as np
 
 __all__ = ["EULER_GAMMA", "exp_integral_e1", "exp_integral_e1_array", "binary_entropy"]
 
@@ -99,6 +100,7 @@ def exp_integral_e1(x: float) -> float:
 
 
 def _e1_series_array(x):
+    import numpy as np
     acc = np.zeros_like(x)
     u = np.ones_like(x)
     out = np.empty_like(x)
@@ -120,6 +122,7 @@ def _e1_series_array(x):
 
 
 def _e1_continued_fraction_array(x):
+    import numpy as np
     b = x + 1.0
     c = np.full_like(x, 1.0 / _CF_TINY)
     d = 1.0 / b
@@ -146,7 +149,7 @@ def _e1_continued_fraction_array(x):
     return out * np.exp(-x)
 
 
-def exp_integral_e1_array(x) -> np.ndarray:
+def exp_integral_e1_array(x) -> "numpy.ndarray":
     """exp_integral_e1 evaluated elementwise on an array of x > 0.
 
     Raises
@@ -156,6 +159,7 @@ def exp_integral_e1_array(x) -> np.ndarray:
     RuntimeError
         If the continued fraction does not converge for some element.
     """
+    import numpy as np
     x = np.asarray(x, dtype=np.float64)
     if not (np.isfinite(x).all() and (x > 0.0).all()):
         raise ValueError("exp_integral_e1_array requires finite x > 0 everywhere")
@@ -188,15 +192,21 @@ def _binary_entropy(p, xp):
     return -p * xp.log2(p) - q * xp.log2(q)
 
 
-# the functions the closed forms call, for one point or for arrays; numpy's
-# are bound by their numpy < 2 names (np.arctan2, not np.atan2).  The scalar
-# E1 is looked up when called, so that a profiler's wrapper on
+# the functions the closed forms call, for one point or for arrays.  The
+# scalar E1 is looked up when called, so that a profiler's wrapper on
 # specfun.exp_integral_e1 also counts the calls made through MATH_XP
 MATH_XP = SimpleNamespace(
     exp=math.exp, expm1=math.expm1, log=math.log, log2=math.log2, sqrt=math.sqrt,
     hypot=math.hypot, atan2=math.atan2, cos=math.cos, sin=math.sin,
     where=lambda cond, x, y: x if cond else y, any=bool, e1=lambda x: exp_integral_e1(x))
-NUMPY_XP = SimpleNamespace(
-    exp=np.exp, expm1=np.expm1, log=np.log, log2=np.log2, sqrt=np.sqrt,
-    hypot=np.hypot, atan2=np.arctan2, cos=np.cos, sin=np.sin,
-    where=np.where, any=np.any, e1=exp_integral_e1_array)
+
+
+@functools.cache
+def numpy_xp() -> SimpleNamespace:
+    """MATH_XP's functions over numpy arrays, built (and numpy imported) on
+    first call; bound by their numpy < 2 names (np.arctan2, not np.atan2)."""
+    import numpy as np
+    return SimpleNamespace(
+        exp=np.exp, expm1=np.expm1, log=np.log, log2=np.log2, sqrt=np.sqrt,
+        hypot=np.hypot, atan2=np.arctan2, cos=np.cos, sin=np.sin,
+        where=np.where, any=np.any, e1=exp_integral_e1_array)

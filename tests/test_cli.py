@@ -414,6 +414,32 @@ def test_point_and_scan_do_not_import_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_point_does_not_import_numpy():
+    # numpy loads where arrays start: not for the package, the CLI or point,
+    # accepted or refused; the oracle's names resolve on first access
+    code = ("import sys, io, contextlib\n"
+            "import h2ent\n"
+            "assert 'numpy' not in sys.modules, 'import h2ent'\n"
+            "import h2ent.cli\n"
+            "assert 'numpy' not in sys.modules, 'import h2ent.cli'\n"
+            "for s, want in (('1.5', 0), ('1e-4', 2), ('800', 2)):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert h2ent.cli.main(['point', '--s', s]) == want, s\n"
+            "    assert 'numpy' not in sys.modules, 'point --s ' + s\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert h2ent.cli.main(['scan', '--s-min', '1', '--s-max', '2',"
+            " '--steps', '5']) == 0\n"
+            "    assert h2ent.cli.main(['figure', '--which', 'fig3', '--steps', '5']) == 0\n"
+            # 10 000 samples miss the MC sigma bound, which fails a check
+            "    assert h2ent.cli.main(['verify', '--samples', '10000']) in (0, 1)\n"
+            "from h2ent import mc_two_electron\n"
+            "assert mc_two_electron is h2ent.oracle.mc_two_electron\n"
+            "assert all(hasattr(h2ent, name) for name in h2ent.__all__)\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_script_available():
     exe = shutil.which("h2e")
     if exe is None:

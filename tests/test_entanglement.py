@@ -98,6 +98,16 @@ def test_slater_decompose_surfaces_eigensolver_failure():
         slater_decompose(AntisymW(n=4, w=w))
 
 
+def test_concurrence_rejects_nan():
+    with pytest.raises(ValueError, match="concurrence4"):
+        concurrence4(AntisymW(n=4, w=np.full((4, 4), np.nan, dtype=complex)))
+
+
+def test_slater_rank_rejects_nan():
+    with pytest.raises(ValueError, match="slater_rank"):
+        slater_rank(SlaterSpectrum(z=np.array([np.nan, np.nan]), n=4))
+
+
 def test_slater_rank_counts_above_tolerance():
     spec = SlaterSpectrum(z=np.array([0.5, 0.0]), n=4)
     assert slater_rank(spec, 1e-10) == 1
@@ -145,6 +155,12 @@ def test_entropy_of_maximally_mixed_state_is_two():
 def test_entropy_rejects_non_finite_coefficients(z):
     with pytest.raises(ValueError, match="von_neumann_entropy"):
         von_neumann_entropy(SlaterSpectrum(z=z, n=4))
+
+
+def test_entropy_rejects_unnormalized_spectrum():
+    # sum z_k^2 = 1/2, not 1/4: the formula alone would return 3.0
+    with pytest.raises(ValueError, match="von_neumann_entropy"):
+        von_neumann_entropy(SlaterSpectrum(z=np.array([0.5, 0.5]), n=4))
 
 
 def test_entropy_reduces_to_binary_entropy_for_two_blocks():

@@ -15,7 +15,7 @@ API = {
     "__version__": None,
     "EULER_GAMMA": None,
     "exp_integral_e1": "(x: float) -> float",
-    "exp_integral_e1_array": "(x) -> numpy.ndarray",
+    "exp_integral_e1_array": "(x) -> 'numpy.ndarray'",
     "binary_entropy": "(p: float) -> float",
     "IntegralSet": "(s: float, S: float, jp: float, kp: float, j: float, k: float, "
                    "l: float, m: float) -> None",
@@ -29,13 +29,13 @@ API = {
     "one_center_m": "() -> float",
     "integral_set": "(s: float) -> h2ent.integrals.IntegralSet",
     "integral_table": "(s) -> h2ent.integrals.IntegralSet",
-    "AntisymW": "(n: int, w: numpy.ndarray) -> None",
-    "SlaterSpectrum": "(z: numpy.ndarray, n: int) -> None",
+    "AntisymW": "(n: int, w: 'numpy.ndarray') -> None",
+    "SlaterSpectrum": "(z: 'numpy.ndarray', n: int) -> None",
     "make_antisym": "(upper_entries, n: int = 4) -> h2ent.entanglement.AntisymW",
     "concurrence4": "(w: h2ent.entanglement.AntisymW) -> float",
     "slater_decompose": "(w: h2ent.entanglement.AntisymW) -> h2ent.entanglement.SlaterSpectrum",
     "slater_rank": "(spec: h2ent.entanglement.SlaterSpectrum, tol: float = 1e-10) -> int",
-    "reduced_density": "(w: h2ent.entanglement.AntisymW) -> numpy.ndarray",
+    "reduced_density": "(w: h2ent.entanglement.AntisymW) -> 'numpy.ndarray'",
     "von_neumann_entropy": "(spec: h2ent.entanglement.SlaterSpectrum) -> float",
     "E1S": None,
     "HamiltonianBlock": "(s: float, h11: float, h12: float, h21: float, h22: float, "
@@ -65,7 +65,7 @@ API = {
     "record_at": "(s: float, variant: str = 'corrected', unit: str = 'rydberg') "
                  "-> h2ent.scan.ScanRecord",
     "scan_records": "(config: h2ent.scan.ScanConfig)",
-    "scan_table": "(config: h2ent.scan.ScanConfig) -> numpy.ndarray",
+    "scan_table": "(config: h2ent.scan.ScanConfig) -> 'numpy.ndarray'",
 }
 
 
