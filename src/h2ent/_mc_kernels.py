@@ -26,12 +26,10 @@ has no cancellation.  An electron's distance to its own nucleus is its
 sampled radius, so only the distance to the other nucleus takes a square
 root, and 1 - tanh(d) is evaluated as 2 / (1 + e^(2d)).
 
-Against the 8-step Newton kernel of earlier versions (cube-root or
-iterated-log start, the same residual, two cosines and two sines per
-sample), each sample sits at the same point up to rounding: radii agree to
-1e-11 relative wherever that kernel's residual does not cancel, and
-integrand values to 1e-9 relative, the largest differences coming from its
-1 - tanh(d), which loses digits as d grows.
+Per-sample values agree to 1e-9 relative with the reference kernel of
+tests/test_oracle.py (Cartesian positions, 8 Newton steps from a cube-root
+or iterated-log start); the largest differences come from its 1 - tanh(d),
+which loses digits as d grows.
 
 Uniform-variate layout per sample (row of the (n, 8) array):
     u[0:4] electron 1: radius, cos(theta), phi/2pi, center selector
@@ -39,10 +37,10 @@ Uniform-variate layout per sample (row of the (n, 8) array):
 The center selector is consumed only by the mixture-sampled kinds.
 
 Integrand kinds (nuclei at z=0 and z=s):
-    KIND_J  electron 1 ~ rho_a, electron 2 ~ rho_b, value 1/r12
-    KIND_K  both ~ (rho_a + rho_b)/2, value sech(dA1-dB1) sech(dA2-dB2) / r12
-    KIND_L  both ~ (rho_a + rho_b)/2, value (1 - tanh(dA1-dB1)) sech(dA2-dB2) / r12
-    KIND_M  both ~ rho_a, value 1/r12
+    "j"  electron 1 ~ rho_a, electron 2 ~ rho_b, value 1/r12
+    "k"  both ~ (rho_a + rho_b)/2, value sech(dA1-dB1) sech(dA2-dB2) / r12
+    "l"  both ~ (rho_a + rho_b)/2, value (1 - tanh(dA1-dB1)) sech(dA2-dB2) / r12
+    "m"  both ~ rho_a, value 1/r12
 """
 
 import functools
@@ -50,11 +48,9 @@ import math
 
 import numpy as np
 
-__all__ = ["KIND_J", "KIND_K", "KIND_L", "KIND_M", "KIND_CODES",
-           "active_backend", "integrand_samples", "radius_from_uniform"]
+__all__ = ["KINDS", "active_backend", "integrand_samples", "radius_from_uniform"]
 
-KIND_J, KIND_K, KIND_L, KIND_M = 0, 1, 2, 3
-KIND_CODES = {"j": KIND_J, "k": KIND_K, "l": KIND_L, "m": KIND_M}
+KINDS = ("j", "k", "l", "m")
 
 # radius table: x/w on _KNOTS + 1 uniform knots in w over [0, _W_MAX]; every
 # u in [0, 1) has w <= cbrt(6 * 53 ln 2) = 6.04 in float64
@@ -195,9 +191,9 @@ def _samples(kind, s, u):
     tmp *= tmp
     r12 += tmp
     dz = np.subtract(z[0], z[1], out=tmp)
-    if kind == KIND_J:
+    if kind == "j":
         dz -= s
-    elif kind in (KIND_K, KIND_L):
+    elif kind in ("k", "l"):
         own_b = work[3] >= 0.5
         center = np.multiply(own_b, s, out=work[3])  # z of the own nucleus
         dz += center[0]
@@ -217,9 +213,9 @@ def _samples(kind, s, u):
     r12 += dz
     np.sqrt(r12, out=r12)
     inv = np.divide(1.0, r12, out=r12)
-    if kind in (KIND_J, KIND_M):
+    if kind in ("j", "m"):
         return inv
-    if kind == KIND_K:
+    if kind == "k":
         sech = _sech(dab, work[5])
         inv *= sech[0]
         inv *= sech[1]
@@ -250,19 +246,19 @@ def radius_from_uniform(u):
     return r
 
 
-def integrand_samples(kind: int, s: float, u: np.ndarray) -> np.ndarray:
+def integrand_samples(kind: str, s: float, u: np.ndarray) -> np.ndarray:
     """Per-sample importance-weighted integrand values for one kind.
 
     Parameters
     ----------
-    kind : int
-        One of KIND_J, KIND_K, KIND_L, KIND_M.
+    kind : {"j", "k", "l", "m"}
+        The integral (see the module docstring).
     s : float
         Reduced internuclear distance.
     u : numpy.ndarray
         (n, 8) float64 array of uniforms in (0, 1) (see module docstring);
         it is not modified.
     """
-    if kind not in (KIND_J, KIND_K, KIND_L, KIND_M):
+    if kind not in KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
     return _samples(kind, float(s), u)

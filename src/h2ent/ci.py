@@ -102,18 +102,19 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown h22 variant {variant!r}; expected one of {H22_VARIANTS}")
 
 
+def _diagonal(q, sign, d):
+    """2 E1s + 1/s - 2 (j' + sign k') / d + (j + 2k + m + sign 4l) / (2 d^2)
+    for sign = +-1.0 and d = 1 +- S: sign * x is exactly +-x, so each sign
+    gives the bits of the expression written with + or -."""
+    return (2.0 * E1S + 1.0 / q.s - 2.0 * (q.jp + sign * q.kp) / d
+            + (q.j + 2.0 * q.k + q.m + sign * 4.0 * q.l) / (2.0 * d ** 2))
+
+
 def _block_of(q, variant: str) -> HamiltonianBlock:
     # plain arithmetic, so q may hold floats or arrays
-    one = 2.0 * E1S + 1.0 / q.s
-    e11 = (one - 2.0 * (q.jp + q.kp) / (1.0 + q.S)
-           + (q.j + 2.0 * q.k + q.m + 4.0 * q.l) / (2.0 * (1.0 + q.S) ** 2))
+    e11 = _diagonal(q, 1.0, 1.0 + q.S)
     e12 = (q.m - q.j) / (2.0 * (1.0 - q.S * q.S))
-    if variant == "corrected":
-        e22 = (one - 2.0 * (q.jp - q.kp) / (1.0 - q.S)
-               + (q.j + 2.0 * q.k + q.m - 4.0 * q.l) / (2.0 * (1.0 - q.S) ** 2))
-    else:
-        e22 = (one - 2.0 * (q.jp - q.kp) / (1.0 + q.S)
-               + (q.j + 2.0 * q.k + q.m - 4.0 * q.l) / (2.0 * (1.0 + q.S) ** 2))
+    e22 = _diagonal(q, -1.0, 1.0 - q.S if variant == "corrected" else 1.0 + q.S)
     return HamiltonianBlock(s=q.s, h11=e11, h12=e12, h21=e12, h22=e22, variant=variant)
 
 

@@ -6,15 +6,15 @@ input the float64 closed forms cannot evaluate, a distance below
 MIN_DISTANCE, where they lose digits, or a grid or sample count too large
 for the memory), 3 I/O error.  Data goes to
 stdout or --out; diagnostics go to stderr.  Output is deterministic:
-identical arguments give byte-identical bytes.  --parallel (and
-$H2E_PARALLEL) is validated but evaluation is always serial.  `point` never
-loads numpy: the grid commands import it where their arrays start, and the
-oracle, which needs it throughout, is imported by `verify` alone.
+identical arguments give byte-identical bytes.  `scan` and `figure` accept
+--parallel N (an integer >= 1) for compatibility; evaluation is always
+serial.  `point` never loads numpy: the grid commands import it where their
+arrays start, and the oracle, which needs it throughout, is imported by
+`verify` alone.
 """
 
 import argparse
 import math
-import os
 import sys
 
 from . import __version__
@@ -51,11 +51,16 @@ def _err(msg: str) -> None:
     print(f"h2e: error: {msg}", file=sys.stderr)
 
 
-def _parallel_default() -> object:
-    raw = os.environ.get("H2E_PARALLEL")
-    if raw is None:
-        return 1
-    return raw  # validated later so bad env values give a usage error
+def _positive_int(text: str) -> int:
+    """argparse type of --parallel: an integer >= 1.  The count is accepted
+    for compatibility and changes nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.add_argument("--parallel", type=int, default=None,
-                    help="accepted for compatibility, must be >= 1 "
-                         "(default: $H2E_PARALLEL or 1); evaluation is serial")
+    sp.add_argument("--parallel", type=_positive_int, default=1,
+                    help="accepted for compatibility, must be >= 1 (default: 1); "
+                         "evaluation is serial")
 
     sp = sub.add_parser("figure", help="emit plot-ready data for the standard figures")
     sp.add_argument("--which", choices=list(FIGURES), required=True)
@@ -95,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"grid size (default: 400; fig3: {FIG3_DEFAULT_STEPS})")
     add_common(sp)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--parallel", type=int, default=None)
+    sp.add_argument("--parallel", type=_positive_int, default=1)
 
     sp = sub.add_parser("verify", help="check closed forms against the numerical oracle")
     sp.add_argument("--seed", type=int, default=42)
@@ -103,18 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Monte Carlo samples per integral (default: 500000)")
     add_common(sp, with_unit=False)
     return p
-
-
-def _check_parallel(value) -> None:
-    """Validate --parallel / $H2E_PARALLEL; the count no longer changes anything."""
-    if value is None:
-        value = _parallel_default()
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid parallel worker count {value!r}")
-    if n < 1:
-        raise ValueError(f"parallel must be >= 1, got {n}")
 
 
 def _check_distance(option: str, s: float) -> None:
@@ -173,9 +166,8 @@ def _cmd_point(args) -> int:
 
 def _cmd_scan(args) -> int:
     try:
-        _check_parallel(args.parallel)
         config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=args.steps,
-                            unit=args.unit, h22_variant=args.h22, format=args.format)
+                            unit=args.unit, h22_variant=args.h22)
         config.validate()
         _check_distance("--s-min", config.s_min)
     except ValueError as exc:
@@ -186,7 +178,7 @@ def _cmd_scan(args) -> int:
         _require_finite(SCAN_FIELDS, table)
     except (ArithmeticError, ValueError) as exc:
         return _refuse_evaluation(exc)
-    render = render_csv if config.format == "csv" else render_json
+    render = render_csv if args.format == "csv" else render_json
     text = render(SCAN_FIELDS, table)
     return _write_output(text, args.out)
 
@@ -196,7 +188,6 @@ def _cmd_figure(args) -> int:
     if steps is None:
         steps = FIG3_DEFAULT_STEPS if args.which == "fig3" else 400
     try:
-        _check_parallel(args.parallel)
         config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=steps,
                             unit=args.unit, h22_variant=args.h22)
         config.validate()
@@ -263,29 +254,23 @@ def _cmd_verify(args) -> int:
                  f"  |diff|={diff:.2e}  {check(diff <= QUAD_TOL)}")
     emit()
 
+    # the two-electron checks of [2] and [3]: (label, kind, s), m first
+    checks = [("m (any s) ", "m", 1.0)] + [
+        (f"s={s:<5g} {kind}", kind, s) for s in VERIFY_S_GRID for kind in ("j", "k", "l")]
+
     emit(f"[2] two-electron integrals, importance-sampled Monte Carlo "
          f"(3 sigma, sigma <= {MC_SIGMA_MAX:.0e})")
-    est = mc_two_electron("m", 1.0, args.samples, args.seed)
-    diff = abs(one_center_m() - est.mean)
-    ok = diff <= 3.0 * est.stderr and est.stderr <= MC_SIGMA_MAX
-    emit(f"  m (any s)   closed={one_center_m(): .9f}  mc={est.mean: .9f}"
-         f"  sigma={est.stderr:.2e}  |diff|/sigma={diff / est.stderr:5.2f}  {check(ok)}")
-    offset = 1
-    for s in VERIFY_S_GRID:
-        for kind in ("j", "k", "l"):
-            est = mc_two_electron(kind, s, args.samples, args.seed + offset)
-            offset += 1
-            closed = _CLOSED[kind](s)
-            diff = abs(closed - est.mean)
-            ok = diff <= 3.0 * est.stderr and est.stderr <= MC_SIGMA_MAX
-            emit(f"  s={s:<5g} {kind}  closed={closed: .9f}  mc={est.mean: .9f}"
-                 f"  sigma={est.stderr:.2e}  |diff|/sigma={diff / est.stderr:5.2f}  {check(ok)}")
+    for offset, (label, kind, s) in enumerate(checks):
+        closed = _CLOSED[kind](s)
+        est = mc_two_electron(kind, s, args.samples, args.seed + offset)
+        diff = abs(closed - est.mean)
+        ok = diff <= 3.0 * est.stderr and est.stderr <= MC_SIGMA_MAX
+        emit(f"  {label}  closed={closed: .9f}  mc={est.mean: .9f}"
+             f"  sigma={est.stderr:.2e}  |diff|/sigma={diff / est.stderr:5.2f}  {check(ok)}")
     emit()
 
     emit(f"[3] two-electron integrals, double-exponential quadrature "
          f"(relative tol {TWO_ELECTRON_REL_TOL:.0e})")
-    checks = [("m (any s) ", "m", 1.0)] + [
-        (f"s={s:<5g} {kind}", kind, s) for s in VERIFY_S_GRID for kind in ("j", "k", "l")]
     for label, kind, s in checks:
         closed = _CLOSED[kind](s)
         orc = quad_two_electron(kind, s, tol=TWO_ELECTRON_REL_TOL)

@@ -48,8 +48,7 @@ to evaluating all samples at once, for any worker count.  The kernel
 (h2ent._mc_kernels) starts each radius from a table and takes two Newton
 steps, and evaluates one sine per sample and one square root per electron
 for the distance to the other nucleus; its per-sample values agree with the
-8-step Newton kernel of earlier versions to 1e-9 relative, and the
-`h2e verify` report was byte-identical under both.
+reference kernel of tests/test_oracle.py to 1e-9 relative.
 """
 
 import functools
@@ -59,13 +58,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc_kernels import KIND_CODES, integrand_samples
+from ._mc_kernels import KINDS as MC_KINDS, integrand_samples
 
 __all__ = ["McEstimate", "quad_one_electron", "quad_two_electron", "mc_two_electron",
            "oracle_e1"]
 
 QUAD_KINDS = ("overlap", "jprime", "kprime")
-MC_KINDS = ("j", "k", "l", "m")
 MIN_SAMPLES = 10_000
 # rows of uniforms per kernel call: a 1 MB block, so that every kernel
 # temporary (128 KB per electron, 256 KB for both) of each worker is
@@ -376,13 +374,12 @@ def mc_two_electron(kind: str, s: float, n_samples: int, seed: int) -> McEstimat
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     n, seed = int(n_samples), int(seed)
-    code = KIND_CODES[kind]
     vals = np.empty(n)
 
     def block(start):
         u = _block_uniforms(seed, start, min(BLOCK_ROWS, n - start))
         np.clip(u, _U_LO, _U_HI, out=u)
-        vals[start:start + len(u)] = integrand_samples(code, s, u)
+        vals[start:start + len(u)] = integrand_samples(kind, s, u)
 
     # numpy releases the GIL inside the RNG fill and the kernel's ufuncs
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:

@@ -75,7 +75,6 @@ class ScanConfig:
     steps: int = 400
     unit: str = "rydberg"
     h22_variant: str = "corrected"
-    format: str = "csv"
 
     def validate(self) -> None:
         if not (math.isfinite(self.s_min) and self.s_min > 0.0):
@@ -89,8 +88,6 @@ class ScanConfig:
         _check_unit(self.unit)
         if self.h22_variant not in H22_VARIANTS:
             raise ValueError(f"unknown h22 variant {self.h22_variant!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 def _check_unit(unit: str) -> None:

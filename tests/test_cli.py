@@ -234,19 +234,23 @@ def test_scan_output_independent_of_parallel(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_scan_parallel_env_var(tmp_path, capsys, monkeypatch):
-    a = tmp_path / "env.csv"
-    monkeypatch.setenv("H2E_PARALLEL", "2")
-    assert run_cli(["scan", "--s-min", "0.5", "--s-max", "6", "--steps", "20",
-                    "--out", str(a)], capsys)[0] == 0
-    b = tmp_path / "flag.csv"
-    # explicit flag overrides the environment
-    assert run_cli(["scan", "--s-min", "0.5", "--s-max", "6", "--steps", "20",
-                    "--out", str(b), "--parallel", "1"], capsys)[0] == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("command", [
+    ["scan", "--s-min", "0.5", "--s-max", "6", "--steps", "20"],
+    ["figure", "--which", "fig1", "--steps", "20"]], ids=["scan", "figure"])
+def test_parallel_option_contract(command, capsys, monkeypatch):
+    # --parallel takes an integer >= 1 and changes nothing; no environment
+    # variable stands in for it
+    monkeypatch.delenv("H2E_PARALLEL", raising=False)
+    code, serial, _ = run_cli(command, capsys)
+    assert code == 0
+    for bad in ("0", "-1", "banana"):
+        code, out, err = run_cli(command + ["--parallel", bad], capsys)
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert code == 2 and out == ""
+        assert "--parallel" in line and repr(bad) in line and "Traceback" not in err
     monkeypatch.setenv("H2E_PARALLEL", "banana")
-    assert run_cli(["scan", "--s-min", "0.5", "--s-max", "6", "--steps", "20"],
-                   capsys)[0] == 2
+    assert run_cli(command, capsys)[:2] == (0, serial)
+    assert run_cli(command + ["--parallel", "2"], capsys)[:2] == (0, serial)
 
 
 # ---------------------------------------------------------------- figure

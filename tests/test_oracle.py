@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 import sys
 
 import mpmath
@@ -87,6 +89,46 @@ def test_two_electron_quadrature_rejects_bad_input():
     for s in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             quad_two_electron("k", s)
+
+
+# derivation-level faults that the closed forms could share with the
+# quadrature, each as (oracle function patched, fault built from the real one)
+QUADRATURE_FAULTS = {
+    "Q2 dropped (no l = 2 term)": ("_legendre_q", lambda q: lambda d: (q(d)[0], 0.0 * q(d)[1])),
+    "l = 2 term weighted 1, not 5": ("_legendre_q", lambda q: lambda d: (q(d)[0], q(d)[1] / 5.0)),
+    "Q0 doubled": ("_legendre_q", lambda q: lambda d: (2.0 * q(d)[0], q(d)[1])),
+    "l density as e^-s": ("_neumann_sums", lambda f: lambda s, decay: f(s, 0.5 * decay)),
+    "r V(r) = 1 - e^-2r": ("_r_potential", lambda f: lambda r: -np.expm1(-2.0 * r)),
+    "r V(r) = 1 - (1 + r) e^-r": ("_r_potential", lambda f: lambda r: 1.0 - (1.0 + r) * np.exp(-r)),
+    "r V(r) = 1 - (1 + 2r) e^-2r": ("_r_potential",
+                                    lambda f: lambda r: 1.0 - (1.0 + 2.0 * r) * np.exp(-2.0 * r)),
+}
+
+
+def _pinned_mc_lines():
+    """(kind, s, mean, sigma) of the 19 Monte Carlo lines of the pinned
+    `h2e verify --seed 7 --samples 100003` report."""
+    text = (pathlib.Path(__file__).parent / "data" / "verify_samples100003_seed7.txt").read_text()
+    pattern = r"^  (?:m \(any s\)|s=(\S+) +([jkl])) +closed=.* mc= *(\S+) +sigma=(\S+) "
+    return [(kind or "m", float(s or 1.0), float(mc), float(sigma))
+            for s, kind, mc, sigma in re.findall(pattern, text, re.M)]
+
+
+@pytest.mark.parametrize("fault", QUADRATURE_FAULTS)
+def test_mc_catches_faults_the_quadrature_shares(fault, monkeypatch):
+    # the Monte Carlo integrates the raw 6-D definition and shares no
+    # derivation with the Neumann expansion or the 1s potential, so a fault
+    # in those lands more than 3 sigma from at least one of its lines
+    lines = _pinned_mc_lines()
+    assert len(lines) == 19
+
+    def worst_sigmas():
+        return max(abs(quad_two_electron(kind, s) - mc) / sigma for kind, s, mc, sigma in lines)
+
+    assert worst_sigmas() <= 3.0
+    name, build = QUADRATURE_FAULTS[fault]
+    monkeypatch.setattr(oracle, name, build(getattr(oracle, name)))
+    assert worst_sigmas() > 3.0
 
 
 def test_mc_one_center_value():
@@ -260,7 +302,7 @@ def test_kernel_matches_reference_bitwise(kind, s):
     u[0, 0], u[1, 4], u[2, 0], u[3, 4] = 1e-16, 1.0 - 1e-16, 0.9, np.nextafter(0.9, 0.0)
     np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
     before = u.copy()
-    got = kernels.integrand_samples(kernels.KIND_CODES[kind], s, u)
+    got = kernels.integrand_samples(kind, s, u)
     assert np.array_equal(u, before)
     ref = _reference_samples(kind, s, u)
     assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
@@ -271,7 +313,7 @@ def test_kernel_l_closer_to_mpmath_where_reference_differs_most():
     # five samples it differs most on (about 3e-10 relative) are each
     # nearer the 40-digit value in the kernel's 2 / (1 + e^(2d))
     u = np.random.default_rng(17).random((20_011, 8))
-    got = kernels.integrand_samples(kernels.KIND_L, 8.0, u)
+    got = kernels.integrand_samples("l", 8.0, u)
     ref = _reference_samples("l", 8.0, u)
     worst = np.argsort(np.abs(got / ref - 1.0))[-5:]
     assert np.abs(got[worst] / ref[worst] - 1.0).max() > 1e-10
@@ -285,8 +327,8 @@ def test_kernel_l_closer_to_mpmath_where_reference_differs_most():
 def test_kernel_finite_without_overflow_at_large_distance():
     u = np.random.default_rng(5).random((1000, 8))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for code in (kernels.KIND_J, kernels.KIND_K, kernels.KIND_L, kernels.KIND_M):
-            values = kernels.integrand_samples(code, 400.0, u)
+        for kind in ("j", "k", "l", "m"):
+            values = kernels.integrand_samples(kind, 400.0, u)
             assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
 
 
@@ -298,11 +340,11 @@ def test_mc_blocks_match_one_whole_draw(kind, monkeypatch):
     n = 3 * BLOCK_ROWS + 1001
     u = np.random.default_rng(13).random((n, 8))
     np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
-    whole = kernels.integrand_samples(kernels.KIND_CODES[kind], 1.67, u)
+    whole = kernels.integrand_samples(kind, 1.67, u)
     seen = []
 
-    def recording(code, s, block):
-        values = kernels.integrand_samples(code, s, block)
+    def recording(which, s, block):
+        values = kernels.integrand_samples(which, s, block)
         seen.append((block[0].copy(), values))
         return values
 

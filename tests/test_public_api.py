@@ -58,8 +58,7 @@ API = {
                        "-> h2ent.oracle.McEstimate",
     "oracle_e1": "(x: float, tol: float = 1e-13) -> float",
     "ScanConfig": "(s_min: float = 0.5, s_max: float = 10.0, steps: int = 400, "
-                  "unit: str = 'rydberg', h22_variant: str = 'corrected', "
-                  "format: str = 'csv') -> None",
+                  "unit: str = 'rydberg', h22_variant: str = 'corrected') -> None",
     "ScanRecord": "(s: float, e_psi1: float, e_psi2: float, e_ci: float, c1_sq: float, "
                   "c2_sq: float, concurrence: float, entropy: float) -> None",
     "record_at": "(s: float, variant: str = 'corrected', unit: str = 'rydberg') "
