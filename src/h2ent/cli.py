@@ -4,8 +4,9 @@ data and oracle verification.
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 input the float64 closed forms cannot evaluate, a distance below
 MIN_DISTANCE, where they lose digits, or a grid or sample count too large
-for the memory), 3 I/O error.  Data goes to
-stdout or --out; diagnostics go to stderr.  Output is deterministic:
+for the memory), 3 I/O error: a failed write to stdout or --out, or a
+reader that closed the pipe (silently).  Data goes to stdout or --out;
+diagnostics go to stderr.  Output is deterministic:
 identical arguments give byte-identical bytes.  `scan` and `figure` accept
 --parallel N (an integer >= 1) for compatibility; evaluation is always
 serial.  `point` never loads numpy: the grid commands import it where their
@@ -14,14 +15,16 @@ arrays start, and the oracle, which needs it throughout, is imported by
 """
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from . import __version__
 from .ci import H22_VARIANTS
 from .integrals import coulomb_j, exchange_k, hybrid_l, one_center_m, overlap, jprime, kprime
 from .scan import (FIG3_DEFAULT_STEPS, FIGURES, SCAN_FIELDS, ScanConfig, UNIT_FACTORS,
-                   figure_table, record_at, render_csv, render_json, scan_table)
+                   figure_table, record_at, render_blocks, scan_table)
 from .specfun import exp_integral_e1
 
 __all__ = ["main", "run", "build_parser"]
@@ -130,15 +133,38 @@ def _refuse_evaluation(exc: Exception) -> int:
     return EXIT_USAGE
 
 
-def _write_output(text: str, out_path) -> int:
-    if out_path is None:
-        sys.stdout.write(text)
-        return EXIT_OK
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that the interpreter's
+    final flush of what stdout still buffers cannot fail a second time."""
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor to fail on
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _write_output(chunks, out_path) -> int:
+    """Write each string of `chunks` to out_path, or to stdout when it is None,
+    as soon as it comes.  A failed write exits 3: with one error line, or
+    silently when the reader closed the pipe."""
+    try:
+        if out_path is None:
+            if sys.stdout is None:  # the process started with descriptor 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
     except OSError as exc:
-        _err(f"cannot write {out_path!r}: {exc}")
+        if out_path is None:
+            _discard_stdout()
+        if not isinstance(exc, BrokenPipeError):
+            _err(f"cannot write {'stdout' if out_path is None else repr(out_path)}: {exc}")
         return EXIT_IO
     return EXIT_OK
 
@@ -160,8 +186,7 @@ def _cmd_point(args) -> int:
     lines = [f"unit = {args.unit}", f"h22 = {args.h22}"]
     for name in SCAN_FIELDS:
         lines.append(f"{name} = {format(getattr(rec, name), '.12g')}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    return _write_output(["\n".join(lines) + "\n"], None)
 
 
 def _cmd_scan(args) -> int:
@@ -178,9 +203,7 @@ def _cmd_scan(args) -> int:
         _require_finite(SCAN_FIELDS, table)
     except (ArithmeticError, ValueError) as exc:
         return _refuse_evaluation(exc)
-    render = render_csv if args.format == "csv" else render_json
-    text = render(SCAN_FIELDS, table)
-    return _write_output(text, args.out)
+    return _write_output(render_blocks(SCAN_FIELDS, table, args.format), args.out)
 
 
 def _cmd_figure(args) -> int:
@@ -200,7 +223,7 @@ def _cmd_figure(args) -> int:
         _require_finite(fields, table)
     except (ArithmeticError, ValueError) as exc:
         return _refuse_evaluation(exc)
-    return _write_output(render_csv(fields, table), args.out)
+    return _write_output(render_blocks(fields, table, "csv"), args.out)
 
 
 def _ci_minimum(variant: str):
@@ -303,8 +326,8 @@ def _cmd_verify(args) -> int:
 
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} checks)"
     emit(f"result: {verdict}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
+    return (_write_output(["\n".join(lines) + "\n"], None)
+            or (EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED))
 
 
 def main(argv=None) -> int:
@@ -312,7 +335,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # flush what --help or --version printed
+        return _write_output((), None) or int(exc.code or 0)
     try:
         if args.command == "point":
             return _cmd_point(args)
@@ -324,8 +348,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         _err(f"input too large for the available memory ({exc})")
         return EXIT_USAGE
-    except BrokenPipeError:
-        return EXIT_IO
 
 
 def run() -> None:

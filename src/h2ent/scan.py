@@ -7,11 +7,12 @@ configurations produce byte-identical output, because every grid point is a
 pure function of (s, variant, unit) and rows are emitted in grid order.
 
 record_at evaluates one point over `math`; scan_table evaluates a grid as
-one (n, 8) float64 table over numpy, rendered in one pass.  Both derive the
-energy, coefficient and concurrence columns from the CI solution with one
-helper; only the entropy's 0 log 0 = 0 case is written per path.  numpy is
-imported by the functions that build or read arrays, so that record_at never
-loads it.
+one (n, 8) float64 table over numpy.  Both derive the energy, coefficient
+and concurrence columns from the CI solution with one helper; only the
+entropy's 0 log 0 = 0 case is written per path.  render_blocks formats a
+table RENDER_ROWS rows at a time, so the text held at once is one block
+long whatever the grid size.  numpy is imported by the functions that build
+or read arrays, so that record_at never loads it.
 """
 
 import json
@@ -32,6 +33,7 @@ __all__ = [
     "scan_records",
     "render_csv",
     "render_json",
+    "render_blocks",
     "figure_table",
     "FIGURES",
 ]
@@ -47,6 +49,11 @@ FIGURES = ("fig1", "fig2", "fig3", "fig4")
 # fig3 samples the closed-form concurrence over c1 in [0, 1]; the default
 # grid is dense enough that the node nearest 1/sqrt(2) reads 1 - O(1e-7)
 FIG3_DEFAULT_STEPS = 2001
+
+# rows per render call in render_blocks: the text of a block is about 0.3 MB
+# of CSV or 0.6 MB of JSON; smaller blocks peak no lower, larger ones
+# (8192 rows and up) raise a 50 000-row scan's peak memory
+RENDER_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,27 @@ def render_json(fields, rows) -> str:
     numbers = [_json_number(tok) for tok in tokens]
     obj = "{\n" + ",\n".join(f"  {json.dumps(f)}: %s" for f in fields) + "\n }"
     return "[\n " + ",\n ".join([obj] * len(table)) % tuple(numbers) + "\n]\n"
+
+
+def render_blocks(fields, table, fmt: str):
+    """The text of render_csv ("csv") or render_json ("json") on the whole
+    table, as consecutive strings of at most RENDER_ROWS rows each.
+
+    Each block is one render call; the CSV header and the JSON brackets and
+    separators are kept once, so the joined strings are the bytes of one
+    call on the whole table.
+    """
+    # renderer and framing of one call's text; built per call, so that a
+    # wrapper bound to a renderer's name sees it
+    render, head, sep, tail = {"csv": (render_csv, ",".join(fields) + "\n", "", ""),
+                               "json": (render_json, "[\n ", ",\n ", "\n]\n")}[fmt]
+    if len(table) == 0:
+        yield render(fields, table)
+        return
+    for start in range(0, len(table), RENDER_ROWS):
+        text = render(fields, table[start:start + RENDER_ROWS])
+        yield (sep if start else head) + text[len(head):len(text) - len(tail)]
+    yield tail
 
 
 def figure_table(which: str, config: ScanConfig):

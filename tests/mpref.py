@@ -19,10 +19,10 @@ ENERGY_ATOL_HARTREE = 1e-12
 PLAIN_ATOL = 1e-13
 
 
-def integrals(s):
+def integrals(s, dps=DPS):
     """Integral name -> mpf value at the float s: S, jp, kp (one-electron),
-    j, k, l, m (two-electron), in Hartree."""
-    with mp.workdps(DPS):
+    j, k, l, m (two-electron), in Hartree, evaluated with `dps` digits."""
+    with mp.workdps(dps):
         s = mp.mpf(s)
         e1, e2 = mp.exp(-s), mp.exp(-2 * s)
         S = (1 + s + s * s / 3) * e1

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -22,12 +24,15 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_python(args):
-    """`python args` in a fresh interpreter that imports this h2ent."""
+def run_python(args, stdout=subprocess.PIPE, env=None):
+    """`python args` in a fresh interpreter that imports this h2ent, stdout
+    to `stdout`; each item of `env` sets a variable, or unsets it if None."""
     src = str(pathlib.Path(h2ent.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    environ = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=300,
+                          env={k: v for k, v in environ.items() if v is not None})
 
 
 def parse_csv(text):
@@ -224,6 +229,24 @@ def test_scan_unwritable_output_path(capsys):
     assert "cannot write" in err
 
 
+# sha256 of `scan --s-min 0.305 --s-max 19.995 --steps 50000`, captured when
+# the whole table was rendered as one string
+DENSE_SCAN = ["scan", "--s-min", "0.305", "--s-max", "19.995", "--steps", "50000"]
+DENSE_SHA256 = {"csv": "a36a6f6281e4ddd55a9840c5778dcf3cbd5338809262fc2d1939f2ae9424296a",
+                "json": "27251863bb221527ae90443eb579a2a586a9fb6eedb7ee9c9c91d4a82c7f03a5"}
+
+
+@pytest.mark.parametrize("fmt", sorted(DENSE_SHA256))
+def test_dense_scan_bytes_are_pinned(fmt, tmp_path, capsys):
+    # 25 blocks of RENDER_ROWS rows, on stdout and in --out
+    out_file = tmp_path / f"dense.{fmt}"
+    code, out, _ = run_cli(DENSE_SCAN + ["--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DENSE_SHA256[fmt]
+    assert run_cli(DENSE_SCAN + ["--format", fmt, "--out", str(out_file)], capsys)[0] == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == DENSE_SHA256[fmt]
+
+
 def test_scan_output_independent_of_parallel(tmp_path, capsys):
     a = tmp_path / "p1.csv"
     b = tmp_path / "p3.csv"
@@ -375,6 +398,61 @@ def test_commands_refuse_sizes_beyond_memory(command, capsys):
 def test_verify_rejects_bad_arguments(capsys):
     assert run_cli(["verify", "--seed", "-3"], capsys)[0] == 2
     assert run_cli(["verify", "--samples", "10"], capsys)[0] == 2
+
+
+# ---------------------------------------------------------------- write failures
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [
+    ["point", "--s", "1.5"],
+    ["scan", "--s-min", "0.5", "--s-max", "10", "--steps", "400"],
+    ["figure", "--which", "fig1"],
+    ["verify", "--samples", "10000"],
+], ids=lambda command: command[0])
+def test_stdout_write_failure_exits_3(command, unbuffered):
+    # a full device fails the write (unbuffered stdout) or the flush
+    # (buffered); either way one error line and exit 3, not a traceback or
+    # a second failure in the interpreter's final flush
+    with open("/dev/full", "w") as full:
+        proc = run_python(["-m", "h2ent", *command], stdout=full,
+                          env={"PYTHONUNBUFFERED": unbuffered})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("h2e: error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+def test_closed_stdout_exits_3():
+    # with descriptor 1 closed at start-up, sys.stdout is None
+    code = ("import os, sys\n"
+            "os.close(1)\n"
+            "os.execv(sys.executable, [sys.executable, '-m', 'h2ent', 'point', '--s', '1.5'])\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("h2e: error: cannot write stdout: [Errno 9]")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_3_silently(unbuffered):
+    # the reader takes 100 bytes of a 6 MB scan and closes its end
+    read_fd, write_fd = os.pipe()
+
+    def read_100():
+        with os.fdopen(read_fd, "rb") as reader:
+            reader.read(100)
+
+    reader = threading.Thread(target=read_100)
+    reader.start()
+    try:
+        proc = run_python(["-m", "h2ent", *DENSE_SCAN], stdout=write_fd,
+                          env={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_fd)
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert proc.returncode == 3
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------- entry points

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mpref
 from h2ent.integrals import (EXCHANGE_SMALL_S, coulomb_j, exchange_k, hybrid_l,
                              integral_set, integral_table, jprime, kprime, one_center_m,
                              overlap, s_prime)
@@ -88,14 +89,22 @@ def test_exchange_k_coincidence_limit():
     assert exchange_k(1e-3) == pytest.approx(0.625, abs=2e-3)
 
 
-def test_exchange_k_small_s_guard_is_a_linear_blend():
-    k_cut = exchange_k(EXCHANGE_SMALL_S)
-    for frac in (0.25, 0.5, 0.9):
-        s = frac * EXCHANGE_SMALL_S
-        expect = 0.625 + (k_cut - 0.625) * frac
-        assert exchange_k(s) == pytest.approx(expect, rel=1e-12)
-    # continuity across the cutoff
-    assert exchange_k(EXCHANGE_SMALL_S * (1 - 1e-9)) == pytest.approx(k_cut, abs=1e-9)
+def test_exchange_k_small_s_series_matches_mpmath():
+    # below EXCHANGE_SMALL_S k is its series through s^7; 80 digits absorb
+    # the cancellation of the closed form in the reference
+    for s in np.geomspace(1e-8, EXCHANGE_SMALL_S, 60, endpoint=False).tolist():
+        ref = float(mpref.integrals(s, dps=80)["k"])
+        assert abs(exchange_k(s) - ref) <= 1e-15 * ref, s
+        assert integral_table(np.array([s])).k[0] == exchange_k(s)
+
+
+def test_exchange_k_continuous_at_the_series_switch():
+    # the closed form is off by 6.4e-14 relative at the switch, the series
+    # by less than an ulp just below it
+    below = math.nextafter(EXCHANGE_SMALL_S, 0.0)
+    assert exchange_k(below) == pytest.approx(exchange_k(EXCHANGE_SMALL_S), rel=1e-13)
+    table = integral_table(np.array([below, EXCHANGE_SMALL_S]))
+    assert table.k[0] == pytest.approx(table.k[1], rel=1e-13)
 
 
 def test_exchange_k_cancellation_pinned_by_oracle():
@@ -127,7 +136,7 @@ def test_integral_set_bundles_members():
 
 
 def test_integral_table_matches_integral_set():
-    # through the s < 1e-3 exchange blend, the crossover and the far tail
+    # through the s < 1e-2 exchange series, the switch and the far tail
     s = np.concatenate([np.geomspace(1e-6, 0.99 * EXCHANGE_SMALL_S, 9),
                         [EXCHANGE_SMALL_S], np.geomspace(1.01e-3, 0.3, 20),
                         GRID, np.geomspace(20.5, 600.0, 20)])

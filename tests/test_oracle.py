@@ -40,14 +40,18 @@ def test_quadrature_rejects_bad_input():
         quad_one_electron("overlap", -1.0)
 
 
-# the six verify distances and a log grid over [0.1, 20]
-TWO_ELECTRON_GRID = S_GRID + tuple(float(s) for s in np.geomspace(0.1, 20.0, 23))
+# the six verify distances, a log grid over [0.1, 20], and the near-coincidence
+# and dissociation ranges [1e-2, 0.1] and [20, 150]
+TWO_ELECTRON_GRID = S_GRID + tuple(float(s) for s in np.geomspace(0.1, 20.0, 23)) + (
+    0.01, 0.02, 0.05, 40.0, 80.0, 120.0, 150.0)
 
 
 @pytest.mark.parametrize("kind", ["j", "k", "l", "m"])
 def test_two_electron_quadrature_matches_mpmath(kind):
     for s in TWO_ELECTRON_GRID:
-        ref = float(mpref.integrals(s)[kind])
+        # working digits that grow with s keep the reference far inside the
+        # tolerance at every s of the grid
+        ref = float(mpref.integrals(s, dps=int(2 * s / math.log(10)) + 60)[kind])
         assert abs(quad_two_electron(kind, s) - ref) <= 1e-12 * ref, s
 
 

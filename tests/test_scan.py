@@ -1,13 +1,16 @@
 """The array pipeline (scan_table) against its golden bytes, mpmath and record_at."""
 
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import h2ent.scan as scan
 import mpref
 from h2ent.cli import main
-from h2ent.scan import SCAN_FIELDS, ScanConfig, ScanRecord, record_at, scan_records, scan_table
+from h2ent.scan import (SCAN_FIELDS, ScanConfig, ScanRecord, record_at, render_blocks,
+                        render_csv, render_json, scan_records, scan_table)
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFAULT_GRID = ["--s-min", "0.5", "--s-max", "10", "--steps", "400"]
@@ -144,3 +147,43 @@ def test_ci_minimum_is_first_of_the_table_minimum():
     assert e_min == table[:, 3].min()
     assert s_min == table[np.flatnonzero(table[:, 3] == e_min)[0], 0]
     assert s_min == pytest.approx(1.668, abs=1e-3)
+
+
+RENDERERS = {"csv": render_csv, "json": render_json}
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+@pytest.mark.parametrize("rows", [0, 1, 3, 4, 5, 9])
+def test_render_blocks_join_to_one_render(fmt, rows, monkeypatch):
+    # 4-row blocks: 1, B - 1, B, B + 1 and 2B + 1 rows, and an empty table
+    monkeypatch.setattr(scan, "RENDER_ROWS", 4)
+    table = scan_table(ScanConfig(0.5, 10.0, 9))[:rows]
+    render = RENDERERS[fmt]
+    whole = render(SCAN_FIELDS, table)
+    # render_blocks reaches the renderer through its module name, which a
+    # tracer wraps from outside
+    calls = []
+    monkeypatch.setattr(scan, f"render_{fmt}",
+                        lambda fields, block: calls.append(len(block)) or render(fields, block))
+    assert "".join(render_blocks(SCAN_FIELDS, table, fmt)) == whole
+    assert calls == ([0] if rows == 0 else [min(4, rows - i) for i in range(0, rows, 4)])
+    if rows == 0 and fmt == "json":
+        assert whole == "[]\n"
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+def test_render_blocks_hold_one_block_at_a_time(fmt):
+    # one string of 50 000 rows peaks at 22.5 MB (CSV) and 54.3 MB (JSON),
+    # blocks at 1.4 and 3.2 MB
+    table = scan_table(ScanConfig(0.305, 19.995, 50_000))
+    size = 0
+    tracemalloc.start()
+    try:
+        for chunk in render_blocks(SCAN_FIELDS, table, fmt):
+            size += len(chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size == len(RENDERERS[fmt](SCAN_FIELDS, table))
+    assert peak < 8_000_000
+

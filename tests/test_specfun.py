@@ -89,17 +89,18 @@ def test_e1_array_raises_when_the_fraction_does_not_converge(monkeypatch):
 
 def test_integral_set_calls_e1_twice_through_the_module(monkeypatch):
     # a profiler wraps specfun.exp_integral_e1 from outside; the integrals
-    # must reach E1 through that name, at k's two arguments 2s and 4s
+    # must reach E1 through that name, at k's two arguments 2s and 4s, except
+    # below EXCHANGE_SMALL_S, where k is a series without E1
     import h2ent.specfun as specfun
-    from h2ent.integrals import integral_set
+    from h2ent.integrals import EXCHANGE_SMALL_S, integral_set
 
     calls = []
     inner = specfun.exp_integral_e1
     monkeypatch.setattr(specfun, "exp_integral_e1", lambda x: calls.append(x) or inner(x))
-    for s in (1e-3, 0.3, 1.0, 1.67, 20.0, 650.0):
+    for s in (1e-3, 1e-2, 0.3, 1.0, 1.67, 20.0, 650.0):
         calls.clear()
         integral_set(s)
-        assert sorted(calls) == [2.0 * s, 4.0 * s], s
+        assert sorted(calls) == ([] if s < EXCHANGE_SMALL_S else [2.0 * s, 4.0 * s]), s
 
 
 def _gamma_richardson(n0=10_000, levels=7):
