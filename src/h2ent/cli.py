@@ -9,13 +9,16 @@ reader that closed the pipe (silently).  Data goes to stdout or --out;
 diagnostics go to stderr.  Output is deterministic:
 identical arguments give byte-identical bytes.  `scan` and `figure` accept
 --parallel N (an integer >= 1) for compatibility; evaluation is always
-serial.  `point` never loads numpy: the grid commands import it where their
-arrays start, and the oracle, which needs it throughout, is imported by
-`verify` alone.
+serial.  `point` never loads numpy, and neither do `scan` and `figure` on
+grids of at most h2ent.scan.SCALAR_ROWS points, which they evaluate point
+by point; larger grids import it where their arrays start, and the oracle,
+which needs it throughout, is imported by `verify` alone.
 """
 
 import argparse
+import contextlib
 import errno
+import io
 import math
 import os
 import sys
@@ -24,7 +27,7 @@ from . import __version__
 from .ci import H22_VARIANTS
 from .integrals import coulomb_j, exchange_k, hybrid_l, one_center_m, overlap, jprime, kprime
 from .scan import (FIG3_DEFAULT_STEPS, FIGURES, SCAN_FIELDS, ScanConfig, UNIT_FACTORS,
-                   figure_table, record_at, render_blocks, scan_table)
+                   checked_record, grid_rows, render_blocks, scan_table)
 from .specfun import exp_integral_e1
 
 __all__ = ["main", "run", "build_parser"]
@@ -119,14 +122,6 @@ def _check_distance(option: str, s: float) -> None:
                          f"lose digits, got {s!r}")
 
 
-def _require_finite(fields, table) -> None:
-    import numpy as np
-    finite = np.isfinite(table)
-    if not finite.all():
-        first = int(np.argmin(finite.all(axis=1)))
-        raise ValueError(f"non-finite result at {fields[0]} = {float(table[first, 0])!r}")
-
-
 def _refuse_evaluation(exc: Exception) -> int:
     _err(f"input outside the domain the closed forms can evaluate in float64 "
          f"({type(exc).__name__}: {exc})")
@@ -178,10 +173,8 @@ def _cmd_point(args) -> int:
         _err(str(exc))
         return EXIT_USAGE
     try:
-        rec = record_at(args.s, args.h22, args.unit)
-        if not all(map(math.isfinite, rec.values())):
-            raise ValueError(f"non-finite result at {SCAN_FIELDS[0]} = {float(rec.s)!r}")
-    except (ArithmeticError, ValueError) as exc:
+        rec = checked_record(args.s, args.h22, args.unit)
+    except ValueError as exc:
         return _refuse_evaluation(exc)
     lines = [f"unit = {args.unit}", f"h22 = {args.h22}"]
     for name in SCAN_FIELDS:
@@ -189,27 +182,8 @@ def _cmd_point(args) -> int:
     return _write_output(["\n".join(lines) + "\n"], None)
 
 
-def _cmd_scan(args) -> int:
-    try:
-        config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=args.steps,
-                            unit=args.unit, h22_variant=args.h22)
-        config.validate()
-        _check_distance("--s-min", config.s_min)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    try:
-        table = scan_table(config)
-        _require_finite(SCAN_FIELDS, table)
-    except (ArithmeticError, ValueError) as exc:
-        return _refuse_evaluation(exc)
-    return _write_output(render_blocks(SCAN_FIELDS, table, args.format), args.out)
-
-
-def _cmd_figure(args) -> int:
-    steps = args.steps
-    if steps is None:
-        steps = FIG3_DEFAULT_STEPS if args.which == "fig3" else 400
+def _cmd_grid(args, which: str, steps: int, fmt: str) -> int:
+    """`scan` (which = "scan") or `figure --which WHICH`."""
     try:
         config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=steps,
                             unit=args.unit, h22_variant=args.h22)
@@ -219,11 +193,10 @@ def _cmd_figure(args) -> int:
         _err(str(exc))
         return EXIT_USAGE
     try:
-        fields, table = figure_table(args.which, config)
-        _require_finite(fields, table)
+        fields, rows = grid_rows(which, config)
     except (ArithmeticError, ValueError) as exc:
         return _refuse_evaluation(exc)
-    return _write_output(render_blocks(fields, table, "csv"), args.out)
+    return _write_output(render_blocks(fields, rows, fmt), args.out)
 
 
 def _ci_minimum(variant: str):
@@ -332,18 +305,24 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse prints --help and --version itself and ignores a failed write;
+    # they are written from this buffer instead, so that one exits 3 too
+    printed = io.StringIO()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(printed):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        # flush what --help or --version printed
-        return _write_output((), None) or int(exc.code or 0)
+        return _write_output([printed.getvalue()], None) or int(exc.code or 0)
     try:
         if args.command == "point":
             return _cmd_point(args)
         if args.command == "scan":
-            return _cmd_scan(args)
+            return _cmd_grid(args, "scan", args.steps, args.format)
         if args.command == "figure":
-            return _cmd_figure(args)
+            steps = args.steps
+            if steps is None:
+                steps = FIG3_DEFAULT_STEPS if args.which == "fig3" else 400
+            return _cmd_grid(args, args.which, steps, "csv")
         return _cmd_verify(args)
     except MemoryError as exc:
         _err(f"input too large for the available memory ({exc})")

@@ -9,18 +9,22 @@ pure function of (s, variant, unit) and rows are emitted in grid order.
 record_at evaluates one point over `math`; scan_table evaluates a grid as
 one (n, 8) float64 table over numpy.  Both derive the energy, coefficient
 and concurrence columns from the CI solution with one helper; only the
-entropy's 0 log 0 = 0 case is written per path.  render_blocks formats a
-table RENDER_ROWS rows at a time, so the text held at once is one block
-long whatever the grid size.  numpy is imported by the functions that build
-or read arrays, so that record_at never loads it.
+entropy's 0 log 0 = 0 case is written per path.  grid_rows gives the rows
+of `h2e scan` and `h2e figure`: point by point through record_at for a
+grid of at most SCALAR_ROWS points, where importing numpy would cost more
+than the whole evaluation, and as the scan_table array above that.
+render_blocks formats a table or a list of rows RENDER_ROWS rows at a time,
+so the text held at once is one block long whatever the grid size.  numpy
+is imported by the functions that build or read arrays, so that record_at
+and the small grids never load it.
 """
 
 import json
 import math
 from dataclasses import dataclass
 
-from .ci import E1S, H22_VARIANTS, ci_solve, ci_table, ground_entropy
-from .specfun import _binary_entropy, numpy_xp
+from .ci import E1S, _check_variant, ci_solve, ci_table, ground_entropy
+from .specfun import MATH_XP, _binary_entropy, numpy_xp
 
 __all__ = [
     "UNIT_FACTORS",
@@ -28,6 +32,7 @@ __all__ = [
     "ScanConfig",
     "ScanRecord",
     "record_at",
+    "checked_record",
     "grid_values",
     "scan_table",
     "scan_records",
@@ -35,7 +40,9 @@ __all__ = [
     "render_json",
     "render_blocks",
     "figure_table",
+    "grid_rows",
     "FIGURES",
+    "SCALAR_ROWS",
 ]
 
 # Hartree -> output unit. 1 Hartree = 2 Rydberg; the eV factor is the CODATA
@@ -44,7 +51,10 @@ UNIT_FACTORS = {"hartree": 1.0, "rydberg": 2.0, "ev": 27.211386245988}
 
 SCAN_FIELDS = ("s", "e_psi1", "e_psi2", "e_ci", "c1_sq", "c2_sq", "concurrence", "entropy")
 
-FIGURES = ("fig1", "fig2", "fig3", "fig4")
+# the columns of each standard figure
+FIGURE_FIELDS = {"fig1": ("s", "e_psi1", "e_ci"), "fig2": ("s", "c1_sq", "c2_sq"),
+                 "fig3": ("c1", "concurrence"), "fig4": ("s", "e_ci", "concurrence")}
+FIGURES = tuple(FIGURE_FIELDS)
 
 # fig3 samples the closed-form concurrence over c1 in [0, 1]; the default
 # grid is dense enough that the node nearest 1/sqrt(2) reads 1 - O(1e-7)
@@ -54,6 +64,13 @@ FIG3_DEFAULT_STEPS = 2001
 # of CSV or 0.6 MB of JSON; smaller blocks peak no lower, larger ones
 # (8192 rows and up) raise a 50 000-row scan's peak memory
 RENDER_ROWS = 2048
+
+# grid_rows evaluates grids of at most this many points with record_at and
+# larger ones with scan_table.  A fresh `h2e scan` or `h2e figure` process
+# breaks even between 4 096 and 5 000 rows: the array path pays about
+# 0.15 s to import numpy, the point path about 40 us per row
+# (BENCH_16.json, "crossover")
+SCALAR_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -90,11 +107,13 @@ class ScanConfig:
             raise ValueError(f"s_max must be > 0, got {self.s_max!r}")
         if not self.s_min < self.s_max:
             raise ValueError(f"need s_min < s_max, got {self.s_min!r} >= {self.s_max!r}")
+        # an integer, numpy's included; not a bool, a float or a string
+        if isinstance(self.steps, bool) or not hasattr(type(self.steps), "__index__"):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps!r}")
         _check_unit(self.unit)
-        if self.h22_variant not in H22_VARIANTS:
-            raise ValueError(f"unknown h22 variant {self.h22_variant!r}")
+        _check_variant(self.h22_variant)
 
 
 def _check_unit(unit: str) -> None:
@@ -118,6 +137,29 @@ def record_at(s: float, variant: str = "corrected", unit: str = "rydberg") -> Sc
     sol = ci_solve(s, variant)
     return ScanRecord(sol.s, *_columns(sol, UNIT_FACTORS[unit]),
                       ground_entropy(sol.c1, sol.c2))
+
+
+def checked_record(s: float, variant: str = "corrected", unit: str = "rydberg") -> ScanRecord:
+    """record_at(s, variant, unit), every field finite.
+
+    Raises
+    ------
+    ValueError
+        If s is not finite and > 0, variant or unit is unknown, or, naming
+        s, where the float64 closed forms give no finite record: past
+        s ~ 700 they overflow or lose the CI coefficients.
+    """
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValueError(f"checked_record requires finite s > 0, got {s!r}")
+    _check_variant(variant)
+    _check_unit(unit)
+    try:
+        rec = record_at(s, variant, unit)
+    except (ArithmeticError, ValueError) as exc:
+        raise ValueError(f"non-finite result at s = {float(s)!r}") from exc
+    if not all(map(math.isfinite, rec.values())):
+        raise ValueError(f"non-finite result at s = {rec.s!r}")
+    return rec
 
 
 def grid_values(s_min: float, s_max: float, steps: int) -> "numpy.ndarray":
@@ -155,12 +197,29 @@ def scan_records(config: ScanConfig):
     return [ScanRecord(*row) for row in scan_table(config).tolist()]
 
 
-def render_csv(fields, rows) -> str:
-    """Header and rows (an (n, len(fields)) table) as CSV, '%.12g' per value."""
+def _flat_values(fields, rows):
+    """(row count, every value row after row as one list) of an
+    (n, len(fields)) table or a list of rows of len(fields) values each."""
+    width = len(fields)
+    if isinstance(rows, list):
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"a row of {len(row)} values for {width} fields")
+        return len(rows), [value for row in rows for value in row]
     import numpy as np
-    table = np.asarray(rows, dtype=np.float64).reshape(-1, len(fields))
+    table = np.asarray(rows, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ValueError(f"a table of shape {table.shape}, not rows of {width} values "
+                         f"for {width} fields")
+    return len(table), table.ravel().tolist()
+
+
+def render_csv(fields, rows) -> str:
+    """Header and rows (an (n, len(fields)) table or a list of row tuples)
+    as CSV, '%.12g' per value."""
+    n, values = _flat_values(fields, rows)
     line = ",".join(["%.12g"] * len(fields)) + "\n"
-    return ",".join(fields) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+    return ",".join(fields) + "\n" + (line * n) % tuple(values)
 
 
 def _json_number(token: str) -> str:
@@ -175,21 +234,22 @@ def _json_number(token: str) -> str:
 
 
 def render_json(fields, rows) -> str:
-    """Rows as a JSON list of objects, the bytes of json.dumps(..., indent=1)
-    of the rows rounded to 12 significant digits."""
-    import numpy as np
-    table = np.asarray(rows, dtype=np.float64).reshape(-1, len(fields))
-    if len(table) == 0:
+    """Rows (an (n, len(fields)) table or a list of row tuples) as a JSON
+    list of objects, the bytes of json.dumps(..., indent=1) of the rows
+    rounded to 12 significant digits."""
+    n, values = _flat_values(fields, rows)
+    if n == 0:
         return "[]\n"
-    tokens = ("%.12g," * table.size % tuple(table.ravel().tolist())).split(",")[:-1]
+    tokens = ("%.12g," * len(values) % tuple(values)).split(",")[:-1]
     numbers = [_json_number(tok) for tok in tokens]
     obj = "{\n" + ",\n".join(f"  {json.dumps(f)}: %s" for f in fields) + "\n }"
-    return "[\n " + ",\n ".join([obj] * len(table)) % tuple(numbers) + "\n]\n"
+    return "[\n " + ",\n ".join([obj] * n) % tuple(numbers) + "\n]\n"
 
 
 def render_blocks(fields, table, fmt: str):
     """The text of render_csv ("csv") or render_json ("json") on the whole
-    table, as consecutive strings of at most RENDER_ROWS rows each.
+    table (an array or a list of rows), as consecutive strings of at most
+    RENDER_ROWS rows each.
 
     Each block is one render call; the CSV header and the JSON brackets and
     separators are kept once, so the joined strings are the bytes of one
@@ -208,6 +268,13 @@ def render_blocks(fields, table, fmt: str):
     yield tail
 
 
+def _fig3_concurrence(c1, xp):
+    # 2 |c1| sqrt(1 - c1^2) over math or numpy; sqrt is correctly rounded, so
+    # both give the same bits
+    d = 1.0 - c1 * c1
+    return 2.0 * abs(c1) * xp.sqrt(xp.where(d > 0.0, d, 0.0))
+
+
 def figure_table(which: str, config: ScanConfig):
     """(field names, table) for one of the four standard figures.
 
@@ -218,12 +285,55 @@ def figure_table(which: str, config: ScanConfig):
     """
     if which not in FIGURES:
         raise ValueError(f"unknown figure {which!r}; expected one of {FIGURES}")
+    fields = FIGURE_FIELDS[which]
     if which == "fig3":
         import numpy as np
         config.validate()
         c1 = grid_values(0.0, 1.0, config.steps)
-        conc = 2.0 * np.abs(c1) * np.sqrt(np.maximum(1.0 - c1 * c1, 0.0))
-        return ("c1", "concurrence"), np.column_stack((c1, conc))
-    fields = {"fig1": ("s", "e_psi1", "e_ci"), "fig2": ("s", "c1_sq", "c2_sq"),
-              "fig4": ("s", "e_ci", "concurrence")}[which]
+        return fields, np.column_stack((c1, _fig3_concurrence(c1, numpy_xp())))
     return fields, scan_table(config)[:, [SCAN_FIELDS.index(f) for f in fields]]
+
+
+def _require_finite(fields, table) -> None:
+    import numpy as np
+    finite = np.isfinite(table)
+    if not finite.all():
+        first = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"non-finite result at {fields[0]} = {float(table[first, 0])!r}")
+
+
+def grid_rows(which: str, config: ScanConfig):
+    """(field names, rows) that `h2e scan` (which = "scan") or `h2e figure`
+    (which in FIGURES) prints for config, every value finite.
+
+    A grid of at most SCALAR_ROWS points is a list of row tuples, evaluated
+    point by point by checked_record (fig3: its closed form over math), and
+    numpy is not loaded.  A larger grid is the array of scan_table or
+    figure_table, which can differ from record_at in a 12th printed digit
+    where numpy's exp and math.exp differ by an ulp.
+
+    Raises
+    ------
+    ValueError
+        If which or config is invalid, or naming the first grid point whose
+        row is not finite.
+    """
+    if which != "scan" and which not in FIGURES:
+        raise ValueError(f"unknown grid {which!r}; expected 'scan' or one of {FIGURES}")
+    config.validate()
+    fields = SCAN_FIELDS if which == "scan" else FIGURE_FIELDS[which]
+    if config.steps > SCALAR_ROWS:
+        table = scan_table(config) if which == "scan" else figure_table(which, config)[1]
+        _require_finite(fields, table)
+        return fields, table
+    # the points of grid_values: s_min + i h
+    if which == "fig3":
+        h = 1.0 / (config.steps - 1)
+        return fields, [(i * h, _fig3_concurrence(i * h, MATH_XP)) for i in range(config.steps)]
+    h = (config.s_max - config.s_min) / (config.steps - 1)
+    cols = [SCAN_FIELDS.index(f) for f in fields]
+    rows = []
+    for i in range(config.steps):
+        values = checked_record(config.s_min + i * h, config.h22_variant, config.unit).values()
+        rows.append(tuple(values[c] for c in cols))
+    return fields, rows

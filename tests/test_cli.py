@@ -12,8 +12,9 @@ import threading
 import pytest
 
 import h2ent.cli
+import h2ent.scan
 from h2ent.cli import main
-from h2ent.scan import SCAN_FIELDS
+from h2ent.scan import SCALAR_ROWS, SCAN_FIELDS, grid_values, record_at
 
 HEADER = "s,e_psi1,e_psi2,e_ci,c1_sq,c2_sq,concurrence,entropy"
 
@@ -88,13 +89,17 @@ def test_point_rejects_unknown_unit(capsys):
     assert code == 2
 
 
-# s -> 0 divides by 1 - S^2 = 0; s = 700 gives c1 = nan; s = 800 overflows exp(s)
-@pytest.mark.parametrize("s", ["1e-9", "700", "800"])
+# s -> 0 divides by 1 - S^2 = 0; s = 700 gives c1 = nan; s = 710 and 800
+# overflow exp(s).  Past 700 the refusal names s, as the array path does
+@pytest.mark.parametrize("s", ["1e-9", "700", "710", "800"])
 def test_point_refuses_unevaluable_distance(s, capsys):
     code, out, err = run_cli(["point", "--s", s], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("h2e: error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    if float(s) >= 700.0:
+        assert err.endswith(f"(ValueError: non-finite result at s = {float(s)!r})\n")
 
 
 # below MIN_DISTANCE = 1e-2 the closed forms lose digits: at 1e-4 e_ci was
@@ -125,8 +130,8 @@ def test_grid_commands_refuse_grid_starting_below_floor(command, capsys):
 
 
 def test_point_refuses_non_finite_record(capsys, monkeypatch):
-    real = h2ent.cli.record_at
-    monkeypatch.setattr(h2ent.cli, "record_at",
+    real = h2ent.scan.record_at
+    monkeypatch.setattr(h2ent.scan, "record_at",
                         lambda *a: dataclasses.replace(real(*a), e_psi2=math.inf))
     code, out, err = run_cli(["point", "--s", "1.5"], capsys)
     assert code == 2 and out == ""
@@ -145,6 +150,19 @@ def test_grid_commands_refuse_unevaluable_distances(command):
     assert proc.stdout == ""
     assert proc.stderr.startswith("h2e: error: ")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+@pytest.mark.parametrize("steps", [5, SCALAR_ROWS + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_refusal_names_the_distance_on_either_path(steps, fmt, capsys):
+    code, out, err = run_cli(["scan", "--s-min", "600", "--s-max", "800",
+                              "--steps", str(steps), "--format", fmt], capsys)
+    assert code == 2 and out == ""
+    head = ("h2e: error: input outside the domain the closed forms can evaluate in "
+            "float64 (ValueError: non-finite result at s = ")
+    assert err.startswith(head) and err.endswith(")\n") and err.count("\n") == 1
+    s = float(err[len(head):-2])
+    assert s in grid_values(600.0, 800.0, steps).tolist() and 690.0 < s <= 800.0
 
 
 # ---------------------------------------------------------------- scan
@@ -193,6 +211,29 @@ def test_scan_concurrence_monotone_and_c1sq_decreasing(capsys):
     assert all(b >= a - 1e-12 for a, b in zip(con, con[1:]))
     assert all(b <= a + 1e-12 for a, b in zip(c1s, c1s[1:]))
     assert c1s[-1] == pytest.approx(0.5, abs=5e-3)
+
+
+@pytest.mark.parametrize("unit, variant", [("rydberg", "corrected"), ("ev", "printed"),
+                                           ("hartree", "corrected")])
+def test_scan_rows_within_the_threshold_are_point_records(unit, variant, capsys):
+    # every row is record_at at the grid point, printed as `point` prints it
+    grid = ["--s-min", "0.3", "--s-max", "600", "--steps", "301", "--unit", unit,
+            "--h22", variant]
+    code, out, _ = run_cli(["scan", *grid], capsys)
+    assert code == 0
+    _, *lines = out.splitlines()
+    points = grid_values(0.3, 600.0, 301).tolist()
+    assert lines == [",".join(format(v, ".12g") for v in record_at(s, variant, unit).values())
+                     for s in points]
+    code, out, _ = run_cli(["scan", *grid, "--format", "json"], capsys)
+    assert code == 0
+    assert [tuple(row.values()) for row in json.loads(out)] == [
+        tuple(float(tok) for tok in line.split(",")) for line in lines]
+    for i in (0, 57, 300):
+        code, out, _ = run_cli(["point", "--s", repr(points[i]), "--unit", unit,
+                                "--h22", variant], capsys)
+        assert code == 0
+        assert [ln.split(" = ")[1] for ln in out.splitlines()[2:]] == lines[i].split(",")
 
 
 def test_scan_units_are_consistent(capsys):
@@ -409,11 +450,14 @@ def test_verify_rejects_bad_arguments(capsys):
     ["scan", "--s-min", "0.5", "--s-max", "10", "--steps", "400"],
     ["figure", "--which", "fig1"],
     ["verify", "--samples", "10000"],
+    ["--version"],
+    ["--help"],
 ], ids=lambda command: command[0])
 def test_stdout_write_failure_exits_3(command, unbuffered):
     # a full device fails the write (unbuffered stdout) or the flush
     # (buffered); either way one error line and exit 3, not a traceback or
-    # a second failure in the interpreter's final flush
+    # a second failure in the interpreter's final flush.  argparse ignores a
+    # failed write of --help and --version; they exited 0 unbuffered
     with open("/dev/full", "w") as full:
         proc = run_python(["-m", "h2ent", *command], stdout=full,
                           env={"PYTHONUNBUFFERED": unbuffered})
@@ -498,21 +542,34 @@ def test_point_and_scan_do_not_import_scipy():
 
 def test_point_does_not_import_numpy():
     # numpy loads where arrays start: not for the package, the CLI or point,
-    # accepted or refused; the oracle's names resolve on first access
+    # accepted or refused, nor for scan and figure grids of at most
+    # SCALAR_ROWS points, the defaults among them; the oracle's names
+    # resolve on first access
     code = ("import sys, io, contextlib\n"
             "import h2ent\n"
             "assert 'numpy' not in sys.modules, 'import h2ent'\n"
             "import h2ent.cli\n"
+            "from h2ent.scan import SCALAR_ROWS\n"
             "assert 'numpy' not in sys.modules, 'import h2ent.cli'\n"
-            "for s, want in (('1.5', 0), ('1e-4', 2), ('800', 2)):\n"
+            "def run(argv, want=0):\n"
             "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
             "            contextlib.redirect_stderr(io.StringIO()):\n"
-            "        assert h2ent.cli.main(['point', '--s', s]) == want, s\n"
+            "        assert h2ent.cli.main(argv) == want, argv\n"
+            "for s, want in (('1.5', 0), ('1e-4', 2), ('800', 2)):\n"
+            "    run(['point', '--s', s], want)\n"
             "    assert 'numpy' not in sys.modules, 'point --s ' + s\n"
+            "grid = ['--s-min', '0.5', '--s-max', '10', '--steps']\n"
+            "for argv in (['scan', *grid, '400'], ['scan', *grid, '400', '--format', 'json'],\n"
+            "             ['figure', '--which', 'fig1'], ['figure', '--which', 'fig2'],\n"
+            "             ['figure', '--which', 'fig3'], ['figure', '--which', 'fig4'],\n"
+            "             ['scan', *grid, str(SCALAR_ROWS)]):\n"
+            "    run(argv)\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+            "run(['scan', '--s-min', '600', '--s-max', '800', '--steps', '5'], 2)\n"
+            "assert 'numpy' not in sys.modules, 'refused scan'\n"
+            "run(['scan', *grid, str(SCALAR_ROWS + 1)])\n"
+            "assert 'numpy' in sys.modules, 'scan past SCALAR_ROWS'\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert h2ent.cli.main(['scan', '--s-min', '1', '--s-max', '2',"
-            " '--steps', '5']) == 0\n"
-            "    assert h2ent.cli.main(['figure', '--which', 'fig3', '--steps', '5']) == 0\n"
             # 10 000 samples miss the MC sigma bound, which fails a check
             "    assert h2ent.cli.main(['verify', '--samples', '10000']) in (0, 1)\n"
             "from h2ent import mc_two_electron\n"

@@ -1,5 +1,7 @@
-"""The array pipeline (scan_table) against its golden bytes, mpmath and record_at."""
+"""The grid paths (record_at per point, scan_table as one array) against
+their golden bytes, mpmath and each other; rendering."""
 
+import math
 import pathlib
 import tracemalloc
 
@@ -9,14 +11,15 @@ import pytest
 import h2ent.scan as scan
 import mpref
 from h2ent.cli import main
-from h2ent.scan import (SCAN_FIELDS, ScanConfig, ScanRecord, record_at, render_blocks,
+from h2ent.scan import (SCALAR_ROWS, SCAN_FIELDS, ScanConfig, ScanRecord, checked_record,
+                        figure_table, grid_rows, grid_values, record_at, render_blocks,
                         render_csv, render_json, scan_records, scan_table)
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFAULT_GRID = ["--s-min", "0.5", "--s-max", "10", "--steps", "400"]
 
-# bytes of the scalar pipeline (record_at per point), captured before the
-# array pipeline replaced it
+# bytes of the scalar pipeline (record_at per point), which `h2e` runs on
+# these grids of at most SCALAR_ROWS points
 GOLDEN = {
     "scan_default_corrected.csv": ["scan", *DEFAULT_GRID, "--h22", "corrected"],
     "scan_default_printed.csv": ["scan", *DEFAULT_GRID, "--h22", "printed"],
@@ -26,11 +29,12 @@ GOLDEN = {
     "figure_fig4.csv": ["figure", "--which", "fig4"],
 }
 
-# every printed value that differs from the golden bytes:
-# (file, row index, field) -> (golden token, printed token).  All on the
-# default grid s = 0.5 + i * 9.5/399, variant as in GOLDEN, unit rydberg.
-# numpy's exp differs from math.exp by one ulp on ~5% of arguments, which
-# can move the 12th digit; mpmath decides each entry below.
+# every value the array pipeline (scan_table, figure_table) prints
+# differently from the golden bytes: (file, row index, field) -> (golden
+# token, array token).  All on the default grid s = 0.5 + i * 9.5/399,
+# variant as in GOLDEN, unit rydberg.  numpy's exp differs from math.exp by
+# one ulp on ~5% of arguments, which can move the 12th digit; mpmath decides
+# each entry below.
 LAST_DIGIT_CHANGES = {
     ("scan_default_corrected.csv", 99, "e_psi1"): ("0.00576188956311", "0.0057618895631"),
     ("scan_default_printed.csv", 99, "e_psi1"): ("0.00576188956311", "0.0057618895631"),
@@ -48,9 +52,26 @@ def variant_of(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_default_grids_match_golden_bytes_up_to_listed_changes(name, capsys):
+def test_cli_default_grids_match_golden_bytes(name, capsys):
     assert main(GOLDEN[name]) == 0
-    out = capsys.readouterr().out
+    assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")
+
+
+def array_path_text(name):
+    """The CSV of a GOLDEN file's grid as scan_table or figure_table gives it."""
+    command = GOLDEN[name]
+    if command[0] == "scan":
+        config = ScanConfig(0.5, 10.0, 400, "rydberg", variant_of(name))
+        return render_csv(SCAN_FIELDS, scan_table(config))
+    which = command[command.index("--which") + 1]
+    config = ScanConfig(steps=scan.FIG3_DEFAULT_STEPS if which == "fig3" else 400)
+    return render_csv(*figure_table(which, config))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_default_grids_match_golden_bytes_up_to_listed_changes(name):
+    # the array pipeline on the default grids
+    out = array_path_text(name)
     golden = (DATA / name).read_text(encoding="utf-8")
     header, rows = tokens(out)
     gold_header, gold_rows = tokens(golden)
@@ -121,8 +142,10 @@ def test_record_at_and_scan_config_check_unit_and_variant():
                 lambda: ScanConfig(unit="joule").validate()):
         with pytest.raises(ValueError, match=r"unknown unit 'joule'; expected one of .*'hartree'"):
             bad()
-    with pytest.raises(ValueError, match="unknown h22 variant 'typo'; expected one of"):
-        record_at(1.0, "typo")
+    for bad in (lambda: record_at(1.0, "typo"),
+                lambda: ScanConfig(h22_variant="typo").validate()):
+        with pytest.raises(ValueError, match="unknown h22 variant 'typo'; expected one of"):
+            bad()
 
 
 def test_record_at_stores_float_distance():
@@ -187,3 +210,134 @@ def test_render_blocks_hold_one_block_at_a_time(fmt):
     assert size == len(RENDERERS[fmt](SCAN_FIELDS, table))
     assert peak < 8_000_000
 
+
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+def test_renderers_take_a_list_of_rows(fmt):
+    # the same bytes from a list of row tuples as from the array, including
+    # the tokens JSON spells through json.dumps (integral values, exponents)
+    table = np.vstack([scan_table(ScanConfig(0.5, 10.0, 9)),
+                       [[10.0, 1e13, 1e-320, 0.0, -2.0, 5e-5, 1e15, 123456789012.5]]])
+    rows = [tuple(row) for row in table.tolist()]
+    render = RENDERERS[fmt]
+    assert render(SCAN_FIELDS, rows) == render(SCAN_FIELDS, table)
+    assert "".join(render_blocks(SCAN_FIELDS, rows, fmt)) == render(SCAN_FIELDS, table)
+    assert render(SCAN_FIELDS, []) == render(SCAN_FIELDS, table[:0])
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+def test_renderers_refuse_rows_of_the_wrong_width(fmt):
+    # 8-value rows for 4 fields were printed as twice as many 4-value rows
+    table = scan_table(ScanConfig(0.5, 10.0, 3))
+    fields = ("a", "b", "c", "d")
+    render = RENDERERS[fmt]
+    with pytest.raises(ValueError, match=r"shape \(3, 8\).* 4 values for 4 fields"):
+        render(fields, table)
+    with pytest.raises(ValueError, match="a row of 8 values for 4 fields"):
+        render(fields, [tuple(row) for row in table.tolist()])
+    with pytest.raises(ValueError, match="a row of 3 values for 8 fields"):
+        render(SCAN_FIELDS, [tuple(table[0])] + [(1.0, 2.0, 3.0)])
+    with pytest.raises(ValueError, match=r"shape \(8,\)"):
+        render(SCAN_FIELDS, table[0])
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, "3", True, False, np.float64(3.0), None])
+def test_scan_config_refuses_non_integral_steps(steps):
+    # 2.5 steps gave s = 1, 1.667, 2.333, past s_max, and "3" a TypeError
+    with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
+        ScanConfig(1.0, 2.0, steps).validate()
+    with pytest.raises(ValueError, match="steps"):
+        grid_rows("fig3", ScanConfig(1.0, 2.0, steps))
+
+
+def test_scan_config_accepts_numpy_integers():
+    config = ScanConfig(1.0, 2.0, np.int64(5))
+    config.validate()
+    assert np.array_equal(scan_table(config), scan_table(ScanConfig(1.0, 2.0, 5)))
+    assert grid_rows("scan", ScanConfig(1.0, 2.0, np.int32(5))) == grid_rows(
+        "scan", ScanConfig(1.0, 2.0, 5))
+
+
+GRIDS = ["scan", "fig1", "fig2", "fig3", "fig4"]
+
+
+def array_rows(which, config):
+    return scan_table(config) if which == "scan" else figure_table(which, config)[1]
+
+
+@pytest.mark.parametrize("which", GRIDS)
+def test_grid_rows_choose_the_path_by_grid_size(which, monkeypatch):
+    monkeypatch.setattr(scan, "SCALAR_ROWS", 9)
+    small = ScanConfig(0.5, 10.0, 9, "hartree", "printed")
+    fields, rows = grid_rows(which, small)
+    assert type(rows) is list and all(type(row) is tuple for row in rows)
+    assert fields == (SCAN_FIELDS if which == "scan" else scan.FIGURE_FIELDS[which])
+    # the points of the array path, and for fig3 its bits
+    assert [row[0] for row in rows] == array_rows(which, small)[:, 0].tolist()
+    if which == "fig3":
+        assert rows == [tuple(row) for row in array_rows(which, small).tolist()]
+    large = ScanConfig(0.5, 10.0, 10, "hartree", "printed")
+    fields, table = grid_rows(which, large)
+    assert np.array_equal(table, array_rows(which, large))
+
+
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+@pytest.mark.parametrize("unit", ["rydberg", "hartree", "ev"])
+def test_grid_rows_within_the_threshold_are_record_at(variant, unit):
+    config = ScanConfig(0.3, 600.0, 211, unit, variant)
+    _, rows = grid_rows("scan", config)
+    grid = grid_values(0.3, 600.0, 211).tolist()
+    assert rows == [record_at(s, variant, unit).values() for s in grid]
+
+
+def test_grid_points_are_those_of_grid_values():
+    # s_min + i h in Python floats is the array's s_min + arange(n) * h
+    for s_min, s_max, steps in ((0.305, 19.995, SCALAR_ROWS), (0.01, 650.0, 3001),
+                                (1.0, 1.0 + 1e-9, 17), (0.0, 1.0, scan.FIG3_DEFAULT_STEPS)):
+        h = (s_max - s_min) / (steps - 1)
+        assert [s_min + i * h for i in range(steps)] == grid_values(s_min, s_max, steps).tolist()
+
+
+@pytest.mark.parametrize("steps", [2, 7, scan.FIG3_DEFAULT_STEPS, SCALAR_ROWS])
+def test_fig3_rows_have_the_bits_of_figure_table(steps):
+    config = ScanConfig(steps=steps)
+    fields, rows = grid_rows("fig3", config)
+    assert (fields, rows) == (("c1", "concurrence"), [
+        tuple(row) for row in figure_table("fig3", config)[1].tolist()])
+
+
+def test_grid_rows_refuse_unknown_grid():
+    with pytest.raises(ValueError, match="unknown grid 'fig9'; expected 'scan' or one of"):
+        grid_rows("fig9", ScanConfig())
+
+
+@pytest.mark.parametrize("steps", [5, SCALAR_ROWS + 1])
+def test_grid_rows_name_the_first_non_finite_point(steps):
+    # past s ~ 700 the closed forms overflow, on either path
+    config = ScanConfig(600.0, 800.0, steps)
+    with pytest.raises(ValueError, match=r"^non-finite result at s = ") as info:
+        grid_rows("scan", config)
+    s = float(str(info.value).rsplit(" = ", 1)[1])
+    grid = grid_values(600.0, 800.0, steps).tolist()
+    first = grid.index(s)
+    assert 690.0 < s <= 800.0
+    assert all(np.isfinite(record_at(x).values()).all() for x in grid[max(first - 3, 0):first])
+
+
+@pytest.mark.parametrize("s", [700.0, 710.0, 800.0])
+def test_checked_record_names_the_distance(s):
+    # record_at itself raises (c1 = nan at 700) or overflows (710, 800)
+    with pytest.raises((ArithmeticError, ValueError)):
+        record_at(s)
+    with pytest.raises(ValueError, match=rf"^non-finite result at s = {s!r}$"):
+        checked_record(s)
+
+
+def test_checked_record_refuses_bad_arguments_as_such():
+    assert checked_record(1.5, "printed", "ev") == record_at(1.5, "printed", "ev")
+    for s in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match="checked_record requires finite s > 0"):
+            checked_record(s)
+    with pytest.raises(ValueError, match="unknown h22 variant 'typo'"):
+        checked_record(1.5, "typo")
+    with pytest.raises(ValueError, match="unknown unit 'joule'"):
+        checked_record(1.5, unit="joule")
