@@ -31,8 +31,9 @@ whose concurrence is exactly 2 |c1 c2| and whose Slater coefficients are
 
 block_table, solve_table and ci_table take arrays of distances, and each
 HamiltonianBlock / CiSolution field is then an array.  The block is plain
-arithmetic and the solve one function of (block, xp), evaluated over
-specfun.MATH_XP for one point and over specfun.numpy_xp() for arrays.
+arithmetic, and the solve and the ground-state entropy are each one
+function of their inputs and xp, evaluated over specfun.MATH_XP for one
+point and over specfun.numpy_xp() for arrays.
 """
 
 import math
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 from .entanglement import AntisymW
 from .integrals import integral_set, integral_table
-from .specfun import MATH_XP, binary_entropy, numpy_xp
+from .specfun import MATH_XP, _binary_entropy, numpy_xp
 
 __all__ = [
     "E1S",
@@ -227,7 +228,12 @@ def ground_concurrence(c1: float, c2: float) -> float:
     return 2.0 * abs(c1 * c2)
 
 
+def _ground_entropy(c1, xp):
+    # c1 * c1, not the pow of the c1_sq column, whose last bit can differ
+    return 1.0 + _binary_entropy(xp.clip(c1 * c1, 0.0, 1.0), xp)
+
+
 def ground_entropy(c1: float, c2: float) -> float:
     """Single-particle entropy of the CI ground state: 1 + H2(c1^2)."""
     _check_coefficients(c1, c2, "ground_entropy")
-    return 1.0 + binary_entropy(min(max(c1 * c1, 0.0), 1.0))
+    return _ground_entropy(c1, MATH_XP)

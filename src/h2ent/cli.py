@@ -27,7 +27,7 @@ from . import __version__
 from .ci import H22_VARIANTS
 from .integrals import coulomb_j, exchange_k, hybrid_l, one_center_m, overlap, jprime, kprime
 from .scan import (FIG3_DEFAULT_STEPS, FIGURES, SCAN_FIELDS, ScanConfig, UNIT_FACTORS,
-                   checked_record, grid_rows, render_blocks, scan_table)
+                   grid_rows, record_at, render_blocks, scan_table)
 from .specfun import exp_integral_e1
 
 __all__ = ["main", "run", "build_parser"]
@@ -83,6 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--h22", choices=list(H22_VARIANTS), default="corrected",
                         help="second-configuration energy variant (default: corrected)")
 
+    def add_output(sp):
+        sp.add_argument("--out", default=None, help="output path (default: stdout)")
+        sp.add_argument("--parallel", type=_positive_int, default=1,
+                        help="accepted for compatibility, must be >= 1 (default: 1); "
+                             "evaluation is serial")
+
     sp = sub.add_parser("point", help="evaluate one reduced distance")
     sp.add_argument("--s", type=float, required=True, help="reduced distance R/a0, > 0")
     add_common(sp)
@@ -93,20 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, required=True)
     add_common(sp)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.add_argument("--parallel", type=_positive_int, default=1,
-                    help="accepted for compatibility, must be >= 1 (default: 1); "
-                         "evaluation is serial")
+    add_output(sp)
 
     sp = sub.add_parser("figure", help="emit plot-ready data for the standard figures")
     sp.add_argument("--which", choices=list(FIGURES), required=True)
-    sp.add_argument("--s-min", type=float, default=0.5)
-    sp.add_argument("--s-max", type=float, default=10.0)
+    sp.add_argument("--s-min", type=float, default=ScanConfig.s_min)
+    sp.add_argument("--s-max", type=float, default=ScanConfig.s_max)
     sp.add_argument("--steps", type=int, default=None,
-                    help=f"grid size (default: 400; fig3: {FIG3_DEFAULT_STEPS})")
+                    help=f"grid size (default: {ScanConfig.steps}; fig3: {FIG3_DEFAULT_STEPS})")
     add_common(sp)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--parallel", type=_positive_int, default=1)
+    add_output(sp)
 
     sp = sub.add_parser("verify", help="check closed forms against the numerical oracle")
     sp.add_argument("--seed", type=int, default=42)
@@ -173,7 +175,7 @@ def _cmd_point(args) -> int:
         _err(str(exc))
         return EXIT_USAGE
     try:
-        rec = checked_record(args.s, args.h22, args.unit)
+        rec = record_at(args.s, args.h22, args.unit)
     except ValueError as exc:
         return _refuse_evaluation(exc)
     lines = [f"unit = {args.unit}", f"h22 = {args.h22}"]
@@ -187,7 +189,6 @@ def _cmd_grid(args, which: str, steps: int, fmt: str) -> int:
     try:
         config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=steps,
                             unit=args.unit, h22_variant=args.h22)
-        config.validate()
         _check_distance("--s-min", config.s_min)
     except ValueError as exc:
         _err(str(exc))
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
         if args.command == "figure":
             steps = args.steps
             if steps is None:
-                steps = FIG3_DEFAULT_STEPS if args.which == "fig3" else 400
+                steps = FIG3_DEFAULT_STEPS if args.which == "fig3" else ScanConfig.steps
             return _cmd_grid(args, args.which, steps, "csv")
         return _cmd_verify(args)
     except MemoryError as exc:

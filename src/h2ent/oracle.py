@@ -101,11 +101,11 @@ class McEstimate:
     seed: int
 
 
-def _require_positive_s(s: float) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"oracle requires finite s > 0, got {s!r}")
-    return s
+def _require_positive(x: float, name: str, caller: str = "oracle") -> float:
+    x = float(x)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{caller} requires finite {name} > 0, got {x!r}")
+    return x
 
 
 def _weight_rows(k, w):
@@ -192,14 +192,17 @@ def quad_one_electron(kind: str, s: float, tol: float = 1e-8) -> float:
     s : float
         Reduced internuclear distance, > 0.
     tol : float
-        Required absolute accuracy; non-convergence raises.
+        Required absolute accuracy, finite and > 0; non-convergence raises.
 
     Raises
     ------
+    ValueError
+        If s or tol is not finite and > 0, or kind is unknown.
     RuntimeError
         If the error estimate (step h against step 2h) exceeds ``tol``.
     """
-    s = _require_positive_s(s)
+    s = _require_positive(s, "s")
+    tol = _require_positive(tol, "tol", "quad_one_electron")
     if kind not in _ONE_ELECTRON:
         raise ValueError(f"unknown one-electron kind {kind!r}; expected one of {QUAD_KINDS}")
     return _converged(_prolate_sums(_ONE_ELECTRON[kind], s), tol,
@@ -278,15 +281,18 @@ def quad_two_electron(kind: str, s: float, tol: float = 1e-12) -> float:
     s : float
         Reduced internuclear distance, > 0 (m does not depend on it).
     tol : float
-        Required relative accuracy; non-convergence raises.
+        Required relative accuracy, finite and > 0; non-convergence raises.
 
     Raises
     ------
+    ValueError
+        If s or tol is not finite and > 0, or kind is unknown.
     RuntimeError
         If the error estimate (step h against step 2h) exceeds ``tol``
         relative to the value.
     """
-    s = _require_positive_s(s)
+    s = _require_positive(s, "s")
+    tol = _require_positive(tol, "tol", "quad_two_electron")
     if kind == "m":
         # x = 2r: int 4 pi r^2 (e^-2r / pi) V(r) dr = int x e^-x (r V(r)) dx
         x, wx = _exp_sinh(DE_STEP)
@@ -317,13 +323,14 @@ def oracle_e1(x: float, tol: float = 1e-13) -> float:
 
     Raises
     ------
+    ValueError
+        If x or tol is not finite and > 0.
     RuntimeError
         If the error estimate (step h against step 2h) exceeds ``tol``
         relative to the value.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"oracle_e1 requires finite x > 0, got {x!r}")
+    x = _require_positive(x, "x", "oracle_e1")
+    tol = _require_positive(tol, "tol", "oracle_e1")
     y, _, wy = _tanh_sinh(DE_STEP)
     t, wt = _exp_sinh(DE_STEP)
     sums = (math.log1p(1.0 / x) + wy @ (np.expm1(-y) / (x + y))
@@ -366,12 +373,14 @@ def mc_two_electron(kind: str, s: float, n_samples: int, seed: int) -> McEstimat
     """
     from concurrent.futures import ThreadPoolExecutor  # only the oracle uses threads
 
-    s = _require_positive_s(s)
+    s = _require_positive(s, "s")
     if kind not in MC_KINDS:
         raise ValueError(f"unknown two-electron kind {kind!r}; expected one of {MC_KINDS}")
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < MIN_SAMPLES:
+    # a bool is an int, but not a count or a seed
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
+            or n_samples < MIN_SAMPLES):
         raise ValueError(f"n_samples must be an integer >= {MIN_SAMPLES}, got {n_samples!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     n, seed = int(n_samples), int(seed)
     vals = np.empty(n)

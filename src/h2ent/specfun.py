@@ -17,8 +17,8 @@ operation per step, and retires each element at the step where the scalar
 loop would stop; it differs from the scalar only through numpy's log and
 exp, by a few ulp.  E1 is the one function written twice: sharing one loop
 would put numpy's per-call cost on the scalar path.  Every other closed form
-is written once, as f(s, xp), over MATH_XP for one point or numpy_xp() for
-arrays.  numpy is imported by the functions that build or read arrays, so
+is written once, as f(s, xp) (the binary entropy as f(p, xp)), over MATH_XP
+for one point or numpy_xp() for arrays.  numpy is imported by the functions that build or read arrays, so
 that the scalar path never loads it.
 """
 
@@ -182,14 +182,15 @@ def binary_entropy(p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binary_entropy requires p in [0, 1], got {p!r}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
     return _binary_entropy(p, MATH_XP)
 
 
 def _binary_entropy(p, xp):
+    # log2 of 1 in place of 0 makes 0 log 0 = 0 without a branch, and the
+    # leading 0.0 keeps the endpoints at +0.0; NaN stays NaN
     q = 1.0 - p
-    return -p * xp.log2(p) - q * xp.log2(q)
+    return (0.0 - p * xp.log2(xp.where(p > 0.0, p, 1.0))
+            - q * xp.log2(xp.where(q > 0.0, q, 1.0)))
 
 
 # the functions the closed forms call, for one point or for arrays.  The
@@ -198,7 +199,8 @@ def _binary_entropy(p, xp):
 MATH_XP = SimpleNamespace(
     exp=math.exp, expm1=math.expm1, log=math.log, log2=math.log2, sqrt=math.sqrt,
     hypot=math.hypot, atan2=math.atan2, cos=math.cos, sin=math.sin,
-    where=lambda cond, x, y: x if cond else y, any=bool, e1=lambda x: exp_integral_e1(x))
+    clip=lambda x, lo, hi: min(max(x, lo), hi), where=lambda cond, x, y: x if cond else y,
+    any=bool, e1=lambda x: exp_integral_e1(x))
 
 
 @functools.cache
@@ -209,4 +211,4 @@ def numpy_xp() -> SimpleNamespace:
     return SimpleNamespace(
         exp=np.exp, expm1=np.expm1, log=np.log, log2=np.log2, sqrt=np.sqrt,
         hypot=np.hypot, atan2=np.arctan2, cos=np.cos, sin=np.sin,
-        where=np.where, any=np.any, e1=exp_integral_e1_array)
+        clip=np.clip, where=np.where, any=np.any, e1=exp_integral_e1_array)

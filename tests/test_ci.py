@@ -9,7 +9,7 @@ from h2ent.ci import (E1S, HamiltonianBlock, block_table, ci_solve, ci_table,
                       solve_table, w_from_ci)
 from h2ent.entanglement import concurrence4, slater_decompose, von_neumann_entropy
 from h2ent.integrals import integral_set
-from h2ent.specfun import binary_entropy
+from h2ent.specfun import MATH_XP, binary_entropy, numpy_xp
 
 SQ2 = math.sqrt(0.5)
 GRID = np.linspace(0.3, 8.0, 60)
@@ -244,6 +244,18 @@ def test_ground_entropy_values_and_identity(rng):
         assert ground_entropy(c1, c2) == pytest.approx(via_spectrum, abs=1e-10)
         assert ground_entropy(c1, c2) == pytest.approx(
             1.0 + binary_entropy(c1 * c1), abs=1e-14)
+
+
+def test_ground_entropy_is_one_formula_on_both_paths():
+    # the scalar record and the array table share _ground_entropy; numpy's
+    # log2 can differ from math.log2 by an ulp (about 0.2% of arguments),
+    # which none of these points meets
+    c1 = [0.0, SQ2, 1.0, 0.1, 0.3, 0.6, 0.8, 0.95, 0.999, -0.5]
+    table = h2ent.ci._ground_entropy(np.array(c1), numpy_xp())
+    scalar = [h2ent.ci._ground_entropy(x, MATH_XP) for x in c1]
+    assert table.tolist() == scalar
+    assert scalar[:3] == [1.0, 2.0, 1.0]
+    assert scalar[3:] == [ground_entropy(x, math.sqrt(1.0 - x * x)) for x in c1[3:]]
 
 
 def test_ground_measures_reject_unnormalized():

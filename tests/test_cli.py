@@ -130,8 +130,9 @@ def test_grid_commands_refuse_grid_starting_below_floor(command, capsys):
 
 
 def test_point_refuses_non_finite_record(capsys, monkeypatch):
-    real = h2ent.scan.record_at
-    monkeypatch.setattr(h2ent.scan, "record_at",
+    # a non-finite column, as record_at's own check sees it
+    real = h2ent.scan.ci_solve
+    monkeypatch.setattr(h2ent.scan, "ci_solve",
                         lambda *a: dataclasses.replace(real(*a), e_psi2=math.inf))
     code, out, err = run_cli(["point", "--s", "1.5"], capsys)
     assert code == 2 and out == ""
@@ -261,6 +262,29 @@ def test_scan_validation_errors(capsys):
     code, _, _ = run_cli(["scan", "--s-min", "1", "--s-max", "2", "--steps", "5",
                           "--parallel", "0"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("option", ["--s-min", "--s-max"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_grid_commands_refuse_non_finite_bounds(option, value, capsys):
+    # --s-max inf said "s_max must be > 0, got inf"
+    bounds = {"--s-min": "1", "--s-max": "2", option: value}
+    name = option[2:].replace("-", "_")
+    for command in (["scan", "--steps", "3"], ["figure", "--which", "fig1"]):
+        code, out, err = run_cli(command + [x for kv in bounds.items() for x in kv], capsys)
+        assert code == 2 and out == ""
+        assert err == f"h2e: error: {name} must be finite and > 0, got {float(value)!r}\n"
+
+
+def test_grid_commands_document_out_and_parallel_alike(capsys):
+    out_help = "output path (default: stdout)"
+    parallel_help = "accepted for compatibility, must be >= 1 (default: 1); evaluation is serial"
+    for command in ("scan", "figure"):
+        code, out, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        text = " ".join(out.split())
+        assert f"--out OUT {out_help}" in text
+        assert f"--parallel PARALLEL {parallel_help}" in text
 
 
 def test_scan_unwritable_output_path(capsys):

@@ -183,6 +183,48 @@ def test_mc_rejects_bad_arguments():
         mc_two_electron("j", -1.0, 100_000, 1)
 
 
+def test_mc_refuses_bools_for_counts_and_seeds():
+    # True ran as seed 1, because a bool is an int
+    for seed in (True, False):
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got "):
+            mc_two_electron("j", 1.0, 10_000, seed)
+    with pytest.raises(ValueError, match=r"^n_samples must be an integer >= \d+, got True$"):
+        mc_two_electron("j", 1.0, True, 1)
+
+
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    """Every rule and sum of the oracle raises if it is reached."""
+    def reached(*args):
+        raise AssertionError("a quadrature ran")
+    for name in ("_prolate_sums", "_neumann_sums", "_exp_sinh", "_tanh_sinh"):
+        monkeypatch.setattr(oracle, name, reached)
+
+
+BAD_TOLERANCES = (-1.0, 0.0, -0.0, math.nan, math.inf)
+
+
+# a tolerance that is not finite and > 0 raised "... did not reach -1" after
+# a full quadrature, or could never be met
+def test_quad_one_electron_refuses_bad_tolerance(no_quadrature):
+    for tol in BAD_TOLERANCES:
+        with pytest.raises(ValueError, match=r"^quad_one_electron requires finite tol > 0"):
+            quad_one_electron("overlap", 1.0, tol=tol)
+
+
+def test_quad_two_electron_refuses_bad_tolerance(no_quadrature):
+    for kind in ("j", "m"):
+        for tol in BAD_TOLERANCES:
+            with pytest.raises(ValueError, match=r"^quad_two_electron requires finite tol > 0"):
+                quad_two_electron(kind, 1.0, tol=tol)
+
+
+def test_oracle_e1_refuses_bad_tolerance(no_quadrature):
+    for tol in BAD_TOLERANCES:
+        with pytest.raises(ValueError, match=r"^oracle_e1 requires finite tol > 0"):
+            oracle_e1(1.0, tol=tol)
+
+
 def test_radius_transform_inverts_cdf():
     u = np.linspace(1e-6, 1.0 - 1e-6, 1001)
     r = kernels.radius_from_uniform(u)

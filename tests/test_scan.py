@@ -1,6 +1,7 @@
 """The grid paths (record_at per point, scan_table as one array) against
 their golden bytes, mpmath and each other; rendering."""
 
+import dataclasses
 import math
 import pathlib
 import tracemalloc
@@ -11,9 +12,9 @@ import pytest
 import h2ent.scan as scan
 import mpref
 from h2ent.cli import main
-from h2ent.scan import (SCALAR_ROWS, SCAN_FIELDS, ScanConfig, ScanRecord, checked_record,
-                        figure_table, grid_rows, grid_values, record_at, render_blocks,
-                        render_csv, render_json, scan_records, scan_table)
+from h2ent.scan import (SCALAR_ROWS, SCAN_FIELDS, ScanConfig, ScanRecord, figure_table,
+                        grid_rows, grid_values, record_at, render_blocks, render_csv,
+                        render_json, scan_records, scan_table)
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFAULT_GRID = ["--s-min", "0.5", "--s-max", "10", "--steps", "400"]
@@ -323,21 +324,41 @@ def test_grid_rows_name_the_first_non_finite_point(steps):
     assert all(np.isfinite(record_at(x).values()).all() for x in grid[max(first - 3, 0):first])
 
 
-@pytest.mark.parametrize("s", [700.0, 710.0, 800.0])
-def test_checked_record_names_the_distance(s):
-    # record_at itself raises (c1 = nan at 700) or overflows (710, 800)
-    with pytest.raises((ArithmeticError, ValueError)):
+# s -> what the float64 closed forms do there: divide by 1 - S^2 = 0 below
+# s ~ 1e-8, give c1 = nan at 700 (a non-finite column, no exception) and
+# overflow exp(s) at 710 and 800
+UNEVALUABLE = {1e-9: ZeroDivisionError, 2.08e-9: ZeroDivisionError, 700.0: type(None),
+               710.0: OverflowError, 800.0: OverflowError}
+
+
+@pytest.mark.parametrize("s", sorted(UNEVALUABLE))
+def test_record_at_names_the_distance(s):
+    with pytest.raises(ValueError, match=rf"^non-finite result at s = {s!r}$") as info:
         record_at(s)
-    with pytest.raises(ValueError, match=rf"^non-finite result at s = {s!r}$"):
-        checked_record(s)
+    assert type(info.value.__cause__) is UNEVALUABLE[s]
 
 
-def test_checked_record_refuses_bad_arguments_as_such():
-    assert checked_record(1.5, "printed", "ev") == record_at(1.5, "printed", "ev")
+def test_record_at_refuses_bad_arguments_as_such():
     for s in (math.nan, -1.0, 0.0, math.inf):
-        with pytest.raises(ValueError, match="checked_record requires finite s > 0"):
-            checked_record(s)
+        with pytest.raises(ValueError, match=rf"^record_at requires finite s > 0, got {s!r}$"):
+            record_at(s)
     with pytest.raises(ValueError, match="unknown h22 variant 'typo'"):
-        checked_record(1.5, "typo")
+        record_at(1.5, "typo")
     with pytest.raises(ValueError, match="unknown unit 'joule'"):
-        checked_record(1.5, unit="joule")
+        record_at(1.5, unit="joule")
+
+
+@pytest.mark.parametrize("bound", ["s_min", "s_max"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_scan_config_refuses_non_finite_bounds(bound, value):
+    # s_min = 1, s_max = inf said "s_max must be > 0, got inf"
+    other = {"s_min": 1.0, "s_max": 2.0}
+    with pytest.raises(ValueError, match=rf"^{bound} must be finite and > 0, got {value!r}$"):
+        ScanConfig(**{**other, bound: value}, steps=3)
+
+
+def test_scan_config_is_checked_when_made():
+    with pytest.raises(ValueError, match=r"^need s_min < s_max, got 2.0 >= 1.0$"):
+        ScanConfig(s_min=2.0, s_max=1.0)
+    with pytest.raises(ValueError, match="steps must be >= 2"):
+        dataclasses.replace(ScanConfig(), steps=1)

@@ -130,8 +130,9 @@ def test_euler_gamma_consistent_with_e1_zero_limit():
 
 
 def test_binary_entropy_values():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
+    # 0 log 0 = 0 with no branch: the endpoints are +0.0, sign bit included
+    for p in (0.0, 1.0):
+        assert binary_entropy(p) == 0.0 and math.copysign(1.0, binary_entropy(p)) == 1.0
     assert binary_entropy(0.5) == 1.0
     # frozen from an independent arbitrary-precision evaluation
     assert binary_entropy(0.25) == pytest.approx(0.8112781244591328, abs=1e-15)
