@@ -18,8 +18,8 @@ loop would stop; it differs from the scalar only through numpy's log and
 exp, by a few ulp.  E1 is the one function written twice: sharing one loop
 would put numpy's per-call cost on the scalar path.  Every other closed form
 is written once, as f(s, xp) (the binary entropy as f(p, xp)), over MATH_XP
-for one point or numpy_xp() for arrays.  numpy is imported by the functions that build or read arrays, so
-that the scalar path never loads it.
+for one point or numpy_xp() for arrays.  numpy is imported by the functions
+that build or read arrays, so that the scalar path never loads it.
 """
 
 import functools
