@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -60,6 +61,13 @@ def test_e1_array_matches_scalar_within_4_ulp():
     array = exp_integral_e1_array(x)
     scalar = np.array([exp_integral_e1(v) for v in x.tolist()])
     assert np.all(np.abs(array - scalar) <= 4.0 * np.spacing(scalar))
+
+
+def test_e1_array_bits_are_pinned():
+    # sha256 of the float64 bytes on both regimes; 161 670 of the x are <= 1
+    x = np.logspace(-12.0, np.log10(700.0), 200_001)
+    digest = hashlib.sha256(exp_integral_e1_array(x).tobytes()).hexdigest()
+    assert digest == "f82d9cc02b41e8b6dbbcc70c3616077df2c5e9177ff573624395332c2fd8c70f"
 
 
 def test_e1_array_keeps_shape_and_regime_crossover():
