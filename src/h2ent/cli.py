@@ -102,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sp)
 
     sp = sub.add_parser("figure", help="emit plot-ready data for the standard figures")
-    sp.add_argument("--which", choices=list(FIGURES), required=True)
+    sp.add_argument("--which", choices=list(FIGURES), required=True,
+                    help="fig3 is the concurrence over c1 in [0, 1]: of --s-min, --s-max, "
+                         "--steps, --unit and --h22 it reads only --steps")
     sp.add_argument("--s-min", type=float, default=ScanConfig.s_min)
     sp.add_argument("--s-max", type=float, default=ScanConfig.s_max)
     sp.add_argument("--steps", type=int, default=None,
@@ -187,9 +189,12 @@ def _cmd_point(args) -> int:
 def _cmd_grid(args, which: str, steps: int, fmt: str) -> int:
     """`scan` (which = "scan") or `figure --which WHICH`."""
     try:
-        config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=steps,
-                            unit=args.unit, h22_variant=args.h22)
-        _check_distance("--s-min", config.s_min)
+        if which == "fig3":  # a grid of c1, not of distances
+            config = ScanConfig(steps=steps)
+        else:
+            config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=steps,
+                                unit=args.unit, h22_variant=args.h22)
+            _check_distance("--s-min", config.s_min)
     except ValueError as exc:
         _err(str(exc))
         return EXIT_USAGE

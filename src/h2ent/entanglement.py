@@ -25,6 +25,8 @@ functions that use it, so that importing this module does not load it.
 import math
 from dataclasses import dataclass
 
+from .specfun import _require_positive
+
 __all__ = [
     "AntisymW",
     "SlaterSpectrum",
@@ -175,11 +177,10 @@ def slater_rank(spec: SlaterSpectrum, tol: float = 1e-10) -> int:
     Raises
     ------
     ValueError
-        If ``tol`` is not positive or a coefficient is not finite.
+        If ``tol`` is not finite and > 0 or a coefficient is not finite.
     """
     import numpy as np
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    tol = _require_positive(tol, "slater_rank", "tol")
     # a handful of numbers: Python floats are cheaper than numpy calls
     z = np.asarray(spec.z, dtype=float).tolist()
     if not all(map(math.isfinite, z)):

@@ -25,7 +25,7 @@ integral_table evaluates the same function over specfun.numpy_xp().
 import math
 from dataclasses import dataclass
 
-from .specfun import EULER_GAMMA, MATH_XP, numpy_xp
+from .specfun import EULER_GAMMA, MATH_XP, _require_positive, numpy_xp
 
 __all__ = [
     "IntegralSet",
@@ -46,13 +46,6 @@ __all__ = [
 EXCHANGE_SMALL_S = 1e-2
 
 _ONE_CENTER = 0.625  # (aa|aa) = 5/8 Hartree, exact
-
-
-def _require_positive(s: float, who: str) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"{who} requires finite s > 0, got {s!r}")
-    return s
 
 
 def _require_nonnegative(s: float, who: str) -> float:

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._mc_kernels import KINDS as MC_KINDS, integrand_samples
+from .specfun import _require_positive
 
 __all__ = ["McEstimate", "quad_one_electron", "quad_two_electron", "mc_two_electron",
            "oracle_e1"]
@@ -99,13 +100,6 @@ class McEstimate:
     stderr: float
     n_samples: int
     seed: int
-
-
-def _require_positive(x: float, name: str, caller: str = "oracle") -> float:
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"{caller} requires finite {name} > 0, got {x!r}")
-    return x
 
 
 def _weight_rows(k, w):
@@ -201,8 +195,8 @@ def quad_one_electron(kind: str, s: float, tol: float = 1e-8) -> float:
     RuntimeError
         If the error estimate (step h against step 2h) exceeds ``tol``.
     """
-    s = _require_positive(s, "s")
-    tol = _require_positive(tol, "tol", "quad_one_electron")
+    s = _require_positive(s, "oracle")
+    tol = _require_positive(tol, "quad_one_electron", "tol")
     if kind not in _ONE_ELECTRON:
         raise ValueError(f"unknown one-electron kind {kind!r}; expected one of {QUAD_KINDS}")
     return _converged(_prolate_sums(_ONE_ELECTRON[kind], s), tol,
@@ -291,8 +285,8 @@ def quad_two_electron(kind: str, s: float, tol: float = 1e-12) -> float:
         If the error estimate (step h against step 2h) exceeds ``tol``
         relative to the value.
     """
-    s = _require_positive(s, "s")
-    tol = _require_positive(tol, "tol", "quad_two_electron")
+    s = _require_positive(s, "oracle")
+    tol = _require_positive(tol, "quad_two_electron", "tol")
     if kind == "m":
         # x = 2r: int 4 pi r^2 (e^-2r / pi) V(r) dr = int x e^-x (r V(r)) dx
         x, wx = _exp_sinh(DE_STEP)
@@ -329,8 +323,8 @@ def oracle_e1(x: float, tol: float = 1e-13) -> float:
         If the error estimate (step h against step 2h) exceeds ``tol``
         relative to the value.
     """
-    x = _require_positive(x, "x", "oracle_e1")
-    tol = _require_positive(tol, "tol", "oracle_e1")
+    x = _require_positive(x, "oracle_e1", "x")
+    tol = _require_positive(tol, "oracle_e1", "tol")
     y, _, wy = _tanh_sinh(DE_STEP)
     t, wt = _exp_sinh(DE_STEP)
     sums = (math.log1p(1.0 / x) + wy @ (np.expm1(-y) / (x + y))
@@ -373,7 +367,7 @@ def mc_two_electron(kind: str, s: float, n_samples: int, seed: int) -> McEstimat
     """
     from concurrent.futures import ThreadPoolExecutor  # only the oracle uses threads
 
-    s = _require_positive(s, "s")
+    s = _require_positive(s, "oracle")
     if kind not in MC_KINDS:
         raise ValueError(f"unknown two-electron kind {kind!r}; expected one of {MC_KINDS}")
     # a bool is an int, but not a count or a seed

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .ci import E1S, _check_variant, _ground_entropy, ci_solve, ci_table
-from .specfun import MATH_XP, numpy_xp
+from .specfun import MATH_XP, _require_positive, numpy_xp
 
 __all__ = [
     "UNIT_FACTORS",
@@ -39,7 +39,6 @@ __all__ = [
     "render_csv",
     "render_json",
     "render_blocks",
-    "figure_table",
     "grid_rows",
     "FIGURES",
     "SCALAR_ROWS",
@@ -105,10 +104,13 @@ class ScanConfig:
         self.validate()
 
     def validate(self) -> None:
-        if not (math.isfinite(self.s_min) and self.s_min > 0.0):
-            raise ValueError(f"s_min must be finite and > 0, got {self.s_min!r}")
-        if not (math.isfinite(self.s_max) and self.s_max > 0.0):
-            raise ValueError(f"s_max must be finite and > 0, got {self.s_max!r}")
+        for name in ("s_min", "s_max"):
+            bound = getattr(self, name)
+            # a real number, numpy's included; not a bool, a string, None or a
+            # complex (numpy's complex128 is a complex with a __float__)
+            if (isinstance(bound, (bool, complex)) or not hasattr(type(bound), "__float__")
+                    or not (math.isfinite(bound) and bound > 0.0)):
+                raise ValueError(f"{name} must be finite and > 0, got {bound!r}")
         if not self.s_min < self.s_max:
             raise ValueError(f"need s_min < s_max, got {self.s_min!r} >= {self.s_max!r}")
         # an integer, numpy's included; not a bool, a float or a string
@@ -150,9 +152,7 @@ def record_at(s: float, variant: str = "corrected", unit: str = "rydberg") -> Sc
         s ~ 1e-8 they divide by zero, and past s ~ 700 they overflow or
         lose the CI coefficients.
     """
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"record_at requires finite s > 0, got {s!r}")
+    s = _require_positive(s, "record_at")
     _check_variant(variant)
     _check_unit(unit)
     try:
@@ -186,8 +186,16 @@ def scan_table(config: ScanConfig) -> "numpy.ndarray":
 
 
 def scan_records(config: ScanConfig):
-    """All sweep rows of scan_table as ScanRecords, strictly ordered by s."""
-    return [ScanRecord(*row) for row in scan_table(config).tolist()]
+    """All sweep rows of scan_table as ScanRecords, strictly ordered by s.
+
+    Raises
+    ------
+    ValueError
+        Naming the first grid point whose row is not finite.
+    """
+    table = scan_table(config)
+    _require_finite(SCAN_FIELDS, table)
+    return [ScanRecord(*row) for row in table.tolist()]
 
 
 def _flat_values(fields, rows):
@@ -268,24 +276,6 @@ def _fig3_concurrence(c1, xp):
     return 2.0 * abs(c1) * xp.sqrt(xp.where(d > 0.0, d, 0.0))
 
 
-def figure_table(which: str, config: ScanConfig):
-    """(field names, table) for one of the four standard figures.
-
-    fig1: (s, e_psi1, e_ci)      bonding-configuration vs CI energy
-    fig2: (s, c1_sq, c2_sq)      CI coefficient squares
-    fig3: (c1, concurrence)      closed form 2 |c1| sqrt(1 - c1^2) on [0, 1]
-    fig4: (s, e_ci, concurrence) energy and concurrence together
-    """
-    if which not in FIGURES:
-        raise ValueError(f"unknown figure {which!r}; expected one of {FIGURES}")
-    fields = FIGURE_FIELDS[which]
-    if which == "fig3":
-        import numpy as np
-        c1 = grid_values(0.0, 1.0, config.steps)
-        return fields, np.column_stack((c1, _fig3_concurrence(c1, numpy_xp())))
-    return fields, scan_table(config)[:, [SCAN_FIELDS.index(f) for f in fields]]
-
-
 def _require_finite(fields, table) -> None:
     import numpy as np
     finite = np.isfinite(table)
@@ -298,11 +288,19 @@ def grid_rows(which: str, config: ScanConfig):
     """(field names, rows) that `h2e scan` (which = "scan") or `h2e figure`
     (which in FIGURES) prints for config, every value finite.
 
+    fig1: (s, e_psi1, e_ci)      bonding-configuration vs CI energy
+    fig2: (s, c1_sq, c2_sq)      CI coefficient squares
+    fig3: (c1, concurrence)      closed form 2 |c1| sqrt(1 - c1^2) on
+                                 config.steps points of [0, 1]; the other
+                                 fields of config are not read
+    fig4: (s, e_ci, concurrence) energy and concurrence together
+
     A grid of at most SCALAR_ROWS points is a list of row tuples, evaluated
     point by point by record_at (fig3: its closed form over math), and
-    numpy is not loaded.  A larger grid is the array of scan_table or
-    figure_table, which can differ from record_at in a 12th printed digit
-    where numpy's exp and math.exp differ by an ulp.
+    numpy is not loaded.  A larger grid is an array, the columns of
+    scan_table (fig3: its closed form over numpy), which can differ from
+    record_at in a 12th printed digit where numpy's exp and math.exp differ
+    by an ulp.
 
     Raises
     ------
@@ -313,16 +311,22 @@ def grid_rows(which: str, config: ScanConfig):
     if which != "scan" and which not in FIGURES:
         raise ValueError(f"unknown grid {which!r}; expected 'scan' or one of {FIGURES}")
     fields = SCAN_FIELDS if which == "scan" else FIGURE_FIELDS[which]
-    if config.steps > SCALAR_ROWS:
-        table = scan_table(config) if which == "scan" else figure_table(which, config)[1]
-        _require_finite(fields, table)
-        return fields, table
     # the points of grid_values: s_min + i h
     if which == "fig3":
+        if config.steps > SCALAR_ROWS:
+            import numpy as np
+            c1 = grid_values(0.0, 1.0, config.steps)
+            return fields, np.column_stack((c1, _fig3_concurrence(c1, numpy_xp())))
         h = 1.0 / (config.steps - 1)
         return fields, [(i * h, _fig3_concurrence(i * h, MATH_XP)) for i in range(config.steps)]
-    h = (config.s_max - config.s_min) / (config.steps - 1)
     cols = [SCAN_FIELDS.index(f) for f in fields]
+    if config.steps > SCALAR_ROWS:
+        table = scan_table(config)
+        if which != "scan":  # all 8 columns need no copy
+            table = table[:, cols]
+        _require_finite(fields, table)
+        return fields, table
+    h = (config.s_max - config.s_min) / (config.steps - 1)
     rows = []
     for i in range(config.steps):
         values = record_at(config.s_min + i * h, config.h22_variant, config.unit).values()

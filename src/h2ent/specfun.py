@@ -13,13 +13,17 @@ the certification against an independent quadrature of the defining
 integral lives in the oracle module and the test suite.
 
 exp_integral_e1_array runs the same recurrences on a whole array, one numpy
-operation per step, and retires each element at the step where the scalar
-loop would stop; it differs from the scalar only through numpy's log and
-exp, by a few ulp.  E1 is the one function written twice: sharing one loop
-would put numpy's per-call cost on the scalar path.  Every other closed form
-is written once, as f(s, xp) (the binary entropy as f(p, xp)), over MATH_XP
-for one point or numpy_xp() for arrays.  numpy is imported by the functions
-that build or read arrays, so that the scalar path never loads it.
+operation per step; it differs from the scalar only through numpy's log and
+exp, by a few ulp.  The series is one function of (x, xp) for both.  The
+continued fraction is the one formula written twice: its array loop must
+retire each element at the step where the scalar loop returns, because a
+Lentz step past convergence still moves the last bits of the result (of
+39 576 out of 40 000 x in (1, 700]), and a mask in place of the retiring
+would put extra calls on every step of the scalar loop, which is a large
+share of the time of one scalar record.  Every other closed form is written
+once, as f(s, xp) (the binary entropy as f(p, xp)), over MATH_XP for one
+point or numpy_xp() for arrays.  numpy is imported by the functions that
+build or read arrays, so that the scalar path never loads it.
 """
 
 import functools
@@ -40,16 +44,29 @@ _CF_TINY = 1e-300
 _CF_NUMERATORS = tuple(-float(k * k) for k in range(1, _CF_MAX_ITER))
 
 
-def _e1_series(x: float) -> float:
+def _require_positive(x, who: str, name: str = "s") -> float:
+    """float(x), if it is finite and > 0; otherwise a ValueError naming who
+    refused which argument."""
+    x = float(x)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{who} requires finite {name} > 0, got {x!r}")
+    return x
+
+
+def _e1_series(x, xp):
+    # for a float or an array of x <= 1.  The terms shrink, so once |term| <=
+    # 1e-18 |acc| every later one is below half an ulp of acc and leaves it
+    # unchanged: an array may run on until its slowest element stops, with
+    # each element's bits those of the scalar loop
     acc = 0.0
     u = 1.0
     for k in range(1, _SERIES_MAX_TERMS):
-        u *= -x / k
+        u = u * (-x / k)
         term = u / k
-        acc += term
-        if abs(term) <= 1e-18 * abs(acc):
+        acc = acc + term
+        if not xp.any(abs(term) > 1e-18 * abs(acc)):
             break
-    return -EULER_GAMMA - math.log(x) - acc
+    return -EULER_GAMMA - xp.log(x) - acc
 
 
 def _e1_continued_fraction(x: float) -> float:
@@ -91,34 +108,10 @@ def exp_integral_e1(x: float) -> float:
     ValueError
         If ``x`` is not finite or ``x <= 0``.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"exp_integral_e1 requires finite x > 0, got {x!r}")
+    x = _require_positive(x, "exp_integral_e1", "x")
     if x <= _SERIES_CUTOFF:
-        return _e1_series(x)
+        return _e1_series(x, MATH_XP)
     return _e1_continued_fraction(x)
-
-
-def _e1_series_array(x):
-    import numpy as np
-    acc = np.zeros_like(x)
-    u = np.ones_like(x)
-    out = np.empty_like(x)
-    live = np.arange(x.size)
-    xs = x
-    for k in range(1, _SERIES_MAX_TERMS):
-        if live.size == 0:
-            break
-        u *= -xs / k
-        term = u / k
-        acc += term
-        done = np.abs(term) <= 1e-18 * np.abs(acc)
-        if done.any():
-            out[live[done]] = acc[done]
-            keep = ~done
-            live, xs, u, acc = live[keep], xs[keep], u[keep], acc[keep]
-    out[live] = acc
-    return -EULER_GAMMA - np.log(x) - out
 
 
 def _e1_continued_fraction_array(x):
@@ -166,7 +159,7 @@ def exp_integral_e1_array(x) -> "numpy.ndarray":
     flat = x.ravel()
     out = np.empty_like(flat)
     series = flat <= _SERIES_CUTOFF
-    out[series] = _e1_series_array(flat[series])
+    out[series] = _e1_series(flat[series], numpy_xp())
     out[~series] = _e1_continued_fraction_array(flat[~series])
     return out.reshape(x.shape)
 

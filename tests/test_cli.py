@@ -393,6 +393,19 @@ def test_figure_outputs_reproducible_across_runs_and_parallel(tmp_path, capsys):
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize("s_min", ["1e-3", "20"])
+def test_figure_fig3_reads_only_steps(s_min, capsys):
+    # fig3's grid is c1 in [0, 1]: --s-min 1e-3 was refused as below the
+    # distance floor, and 20 as not below --s-max
+    code, out, err = run_cli(["figure", "--which", "fig3", "--s-min", s_min], capsys)
+    assert (code, err) == (0, "")
+    assert out == (pathlib.Path(__file__).parent / "data" / "figure_fig3.csv").read_text(
+        encoding="utf-8")
+    code, out, err = run_cli(["figure", "--which", "fig1", "--s-min", s_min], capsys)
+    assert code == 2 and out == ""
+    assert "it reads only --steps" in " ".join(run_cli(["figure", "--help"], capsys)[1].split())
+
+
 def test_figure_rejects_unknown_name(capsys):
     assert run_cli(["figure", "--which", "fig9"], capsys)[0] == 2
 

@@ -4,6 +4,7 @@ their golden bytes, mpmath and each other; rendering."""
 import dataclasses
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,9 +13,9 @@ import pytest
 import h2ent.scan as scan
 import mpref
 from h2ent.cli import main
-from h2ent.scan import (SCALAR_ROWS, SCAN_FIELDS, ScanConfig, ScanRecord, figure_table,
-                        grid_rows, grid_values, record_at, render_blocks, render_csv,
-                        render_json, scan_records, scan_table)
+from h2ent.scan import (SCALAR_ROWS, SCAN_FIELDS, ScanConfig, ScanRecord, grid_rows,
+                        grid_values, record_at, render_blocks, render_csv, render_json,
+                        scan_records, scan_table)
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFAULT_GRID = ["--s-min", "0.5", "--s-max", "10", "--steps", "400"]
@@ -30,7 +31,7 @@ GOLDEN = {
     "figure_fig4.csv": ["figure", "--which", "fig4"],
 }
 
-# every value the array pipeline (scan_table, figure_table) prints
+# every value the array pipeline (grid_rows above SCALAR_ROWS) prints
 # differently from the golden bytes: (file, row index, field) -> (golden
 # token, array token).  All on the default grid s = 0.5 + i * 9.5/399,
 # variant as in GOLDEN, unit rydberg.  numpy's exp differs from math.exp by
@@ -58,15 +59,22 @@ def test_cli_default_grids_match_golden_bytes(name, capsys):
     assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")
 
 
+def array_rows(which, config):
+    """(fields, array) of grid_rows' array path, whatever the grid size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scan, "SCALAR_ROWS", 1)
+        return grid_rows(which, config)
+
+
 def array_path_text(name):
-    """The CSV of a GOLDEN file's grid as scan_table or figure_table gives it."""
+    """The CSV of a GOLDEN file's grid as grid_rows' array path gives it."""
     command = GOLDEN[name]
     if command[0] == "scan":
         config = ScanConfig(0.5, 10.0, 400, "rydberg", variant_of(name))
-        return render_csv(SCAN_FIELDS, scan_table(config))
+        return render_csv(*array_rows("scan", config))
     which = command[command.index("--which") + 1]
     config = ScanConfig(steps=scan.FIG3_DEFAULT_STEPS if which == "fig3" else 400)
-    return render_csv(*figure_table(which, config))
+    return render_csv(*array_rows(which, config))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -160,6 +168,14 @@ def test_scan_records_wrap_the_table():
     records = scan_records(config)
     assert all(type(r) is ScanRecord for r in records)
     assert [r.values() for r in records] == [tuple(row) for row in scan_table(config).tolist()]
+
+
+def test_scan_records_refuse_non_finite_rows():
+    # record_at and `h2e scan` refuse s = 700; scan_records gave NaN records
+    config = ScanConfig(600.0, 800.0, 5)
+    with pytest.raises(ValueError, match=r"^non-finite result at s = 700\.0$"):
+        scan_records(config)
+    assert not np.isfinite(scan_table(config)[-2:]).all()
 
 
 def test_ci_minimum_is_first_of_the_table_minimum():
@@ -261,10 +277,6 @@ def test_scan_config_accepts_numpy_integers():
 GRIDS = ["scan", "fig1", "fig2", "fig3", "fig4"]
 
 
-def array_rows(which, config):
-    return scan_table(config) if which == "scan" else figure_table(which, config)[1]
-
-
 @pytest.mark.parametrize("which", GRIDS)
 def test_grid_rows_choose_the_path_by_grid_size(which, monkeypatch):
     monkeypatch.setattr(scan, "SCALAR_ROWS", 9)
@@ -273,12 +285,15 @@ def test_grid_rows_choose_the_path_by_grid_size(which, monkeypatch):
     assert type(rows) is list and all(type(row) is tuple for row in rows)
     assert fields == (SCAN_FIELDS if which == "scan" else scan.FIGURE_FIELDS[which])
     # the points of the array path, and for fig3 its bits
-    assert [row[0] for row in rows] == array_rows(which, small)[:, 0].tolist()
+    assert [row[0] for row in rows] == array_rows(which, small)[1][:, 0].tolist()
     if which == "fig3":
-        assert rows == [tuple(row) for row in array_rows(which, small).tolist()]
+        assert rows == [tuple(row) for row in array_rows(which, small)[1].tolist()]
     large = ScanConfig(0.5, 10.0, 10, "hartree", "printed")
     fields, table = grid_rows(which, large)
-    assert np.array_equal(table, array_rows(which, large))
+    assert type(table) is np.ndarray
+    if which != "fig3":  # the columns of scan_table
+        cols = [SCAN_FIELDS.index(f) for f in fields]
+        assert np.array_equal(table, scan_table(large)[:, cols])
 
 
 @pytest.mark.parametrize("variant", ["corrected", "printed"])
@@ -300,10 +315,12 @@ def test_grid_points_are_those_of_grid_values():
 
 @pytest.mark.parametrize("steps", [2, 7, scan.FIG3_DEFAULT_STEPS, SCALAR_ROWS])
 def test_fig3_rows_have_the_bits_of_figure_table(steps):
+    # the figure's table: the array of grid_rows above SCALAR_ROWS
     config = ScanConfig(steps=steps)
     fields, rows = grid_rows("fig3", config)
-    assert (fields, rows) == (("c1", "concurrence"), [
-        tuple(row) for row in figure_table("fig3", config)[1].tolist()])
+    array_fields, table = array_rows("fig3", config)
+    assert fields == array_fields == ("c1", "concurrence")
+    assert rows == [tuple(row) for row in table.tolist()]
 
 
 def test_grid_rows_refuse_unknown_grid():
@@ -349,11 +366,14 @@ def test_record_at_refuses_bad_arguments_as_such():
 
 
 @pytest.mark.parametrize("bound", ["s_min", "s_max"])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "1", None, 1j,
+                                   np.complex128(1 + 5j), True])
 def test_scan_config_refuses_non_finite_bounds(bound, value):
-    # s_min = 1, s_max = inf said "s_max must be > 0, got inf"
+    # s_min = 1, s_max = inf said "s_max must be > 0, got inf"; "1", None
+    # and 1j raised a TypeError, and True and numpy's 1+5j ran as 1.0
     other = {"s_min": 1.0, "s_max": 2.0}
-    with pytest.raises(ValueError, match=rf"^{bound} must be finite and > 0, got {value!r}$"):
+    message = rf"^{bound} must be finite and > 0, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
         ScanConfig(**{**other, bound: value}, steps=3)
 
 

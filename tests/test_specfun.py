@@ -4,8 +4,34 @@ import math
 import numpy as np
 import pytest
 
-from h2ent.oracle import oracle_e1
+from h2ent.entanglement import SlaterSpectrum, slater_rank
+from h2ent.integrals import coulomb_j, exchange_k, hybrid_l, integral_set, jprime
+from h2ent.oracle import mc_two_electron, oracle_e1, quad_one_electron, quad_two_electron
+from h2ent.scan import record_at
 from h2ent.specfun import EULER_GAMMA, binary_entropy, exp_integral_e1, exp_integral_e1_array
+
+# (who, argument name, call with the argument) of every public function
+# that refuses an argument that is not finite and > 0 by one message
+POSITIVE_ARGUMENTS = {
+    "exp_integral_e1": ("exp_integral_e1", "x", exp_integral_e1),
+    "jprime": ("jprime", "s", jprime),
+    "coulomb_j": ("coulomb_j", "s", coulomb_j),
+    "exchange_k": ("exchange_k", "s", exchange_k),
+    "hybrid_l": ("hybrid_l", "s", hybrid_l),
+    "integral_set": ("integral_set", "s", integral_set),
+    "record_at": ("record_at", "s", record_at),
+    "quad_one_electron-s": ("oracle", "s", lambda v: quad_one_electron("overlap", v)),
+    "quad_one_electron-tol": ("quad_one_electron", "tol",
+                              lambda v: quad_one_electron("overlap", 1.0, v)),
+    "quad_two_electron-s": ("oracle", "s", lambda v: quad_two_electron("m", v)),
+    "quad_two_electron-tol": ("quad_two_electron", "tol",
+                              lambda v: quad_two_electron("m", 1.0, v)),
+    "oracle_e1-x": ("oracle_e1", "x", oracle_e1),
+    "oracle_e1-tol": ("oracle_e1", "tol", lambda v: oracle_e1(1.0, v)),
+    "mc_two_electron": ("oracle", "s", lambda v: mc_two_electron("m", v, 10_000, 0)),
+    "slater_rank": ("slater_rank", "tol",
+                    lambda v: slater_rank(SlaterSpectrum(z=np.array([0.5, 0.0]), n=4), v)),
+}
 
 
 def test_e1_at_one():
@@ -52,6 +78,15 @@ def test_e1_continuous_at_regime_crossover():
 def test_e1_domain_errors(bad):
     with pytest.raises(ValueError):
         exp_integral_e1(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("function", sorted(POSITIVE_ARGUMENTS))
+def test_positive_arguments_are_refused_by_one_message(function, bad):
+    # slater_rank(spec, tol=inf) counted no coefficient of a normalized state
+    who, name, call = POSITIVE_ARGUMENTS[function]
+    with pytest.raises(ValueError, match=rf"^{who} requires finite {name} > 0, got {bad!r}$"):
+        call(bad)
 
 
 def test_e1_array_matches_scalar_within_4_ulp():
