@@ -2,6 +2,7 @@
 their golden bytes, mpmath and each other; rendering."""
 
 import dataclasses
+import json
 import math
 import pathlib
 import re
@@ -239,6 +240,28 @@ def test_renderers_take_a_list_of_rows(fmt):
     assert render(SCAN_FIELDS, rows) == render(SCAN_FIELDS, table)
     assert "".join(render_blocks(SCAN_FIELDS, rows, fmt)) == render(SCAN_FIELDS, table)
     assert render(SCAN_FIELDS, []) == render(SCAN_FIELDS, table[:0])
+
+
+def test_render_json_is_json_dumps_of_the_rounded_rows():
+    # render_json spells most numbers as their '%.12g' token and only the
+    # rest through json.dumps; every spelling must be json's own
+    rng = np.random.default_rng(19)
+    sign = rng.choice([-1.0, 1.0], 2000)
+    values = np.concatenate([
+        sign * 10.0 ** rng.uniform(-300.0, 300.0, 2000),            # ordinary
+        sign * rng.uniform(0.0, 30.0, 2000),                         # ordinary
+        np.round(sign * 10.0 ** rng.uniform(0.0, 17.0, 2000)),      # integral
+        sign * 10.0 ** rng.uniform(12.0, 18.0, 2000),               # exponents 12..17
+        sign[:1984] * 10.0 ** rng.uniform(-323.3, -307.0, 1984),      # subnormal
+        [5e-324, -5e-324, 2.2250738585072014e-308, 1e12, 1e15, 1e16, 1e17, 123456789012.5,
+         0.0, -0.0, 10.0, -3.0, math.nan, -math.nan, math.inf, -math.inf],
+    ])
+    table = values.reshape(-1, len(SCAN_FIELDS))
+    assert table.shape == (1250, 8) and np.isnan(table).any() and np.isinf(table).any()
+    rounded = [{f: float("%.12g" % v) for f, v in zip(SCAN_FIELDS, row)} for row in table.tolist()]
+    expected = json.dumps(rounded, indent=1) + "\n"
+    assert render_json(SCAN_FIELDS, table) == expected
+    assert render_json(SCAN_FIELDS, [tuple(row) for row in table.tolist()]) == expected
 
 
 @pytest.mark.parametrize("fmt", sorted(RENDERERS))
