@@ -18,14 +18,17 @@ Implemented measures:
 * single-particle reduced density matrix rho = 2 (w^dag w)^T
 * von Neumann entropy  S = -1 - 4 sum_k z_k^2 log2 z_k^2   in [1, log2 n]
 
-Everything is a pure function; no shared state.  numpy is imported by the
-functions that use it, so that importing this module does not load it.
+Every function taking an AntisymW checks it with one guard,
+_check_normalized: w of shape (n, n) with sum |w_ij|^2 within NORM_TOL of
+1/2, which NaN and inf fail.  Everything is a pure function; no shared
+state.  numpy is imported by the functions that use it, so that importing
+this module does not load it.
 """
 
 import math
 from dataclasses import dataclass
 
-from .specfun import _require_positive
+from .specfun import _is_integer, _require_positive
 
 __all__ = [
     "AntisymW",
@@ -78,7 +81,7 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
     upper_entries : sequence of complex
         Entries w_ij for i < j in row-major order; length n(n-1)/2.
     n : int
-        Even dimension >= 2.
+        Even dimension >= 2, an integer (numpy's included) and not a bool.
 
     Returns
     -------
@@ -86,7 +89,7 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
         The antisymmetric completion rescaled so sum |w_ij|^2 = 1/2.
     """
     import numpy as np
-    if n < 2 or n % 2 != 0:
+    if not _is_integer(n) or n < 2 or n % 2 != 0:
         raise ValueError(f"single-particle dimension must be even and >= 2, got {n}")
     entries = np.asarray(upper_entries, dtype=complex).ravel()
     want = n * (n - 1) // 2
@@ -106,7 +109,10 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
 
 
 def _check_normalized(w: AntisymW, name: str) -> None:
+    # the one guard of an AntisymW; name is the caller, for the message
     import numpy as np
+    if w.w.shape != (w.n, w.n):
+        raise ValueError(f"{name} requires w of shape (n, n), got {w.w.shape} for n = {w.n!r}")
     nrm2 = float(np.vdot(w.w, w.w).real)
     # written so that NaN fails it too
     if not abs(nrm2 - 0.5) <= NORM_TOL:
@@ -121,20 +127,19 @@ def concurrence4(w: AntisymW) -> float:
     """Concurrence of a two-fermion pure state with n = 4.
 
     C = 8 |w12 w34 + w13 w42 + w14 w23| in [0, 1]; zero iff the state is a
-    single Slater determinant.
+    single Slater determinant.  The state passes the shared guard
+    _check_normalized first, as in slater_decompose and reduced_density.
 
     Raises
     ------
     ValueError
-        If n != 4, or if one of the six entries it reads is not finite.
+        If n != 4, or, from _check_normalized, if w is not of shape (4, 4)
+        or not normalized (non-finite entries included).
     """
     if w.n != 4:
         raise ValueError(f"concurrence4 is defined for n = 4, got n = {w.n}")
-    # a non-finite entry of the pfaffian makes it non-finite
-    c = 8.0 * abs(_pfaffian4(w.w))
-    if not math.isfinite(c):
-        raise ValueError(f"concurrence4 requires finite entries, got C = {c!r}")
-    return c
+    _check_normalized(w, "concurrence4")
+    return 8.0 * abs(_pfaffian4(w.w))
 
 
 def slater_decompose(w: AntisymW) -> SlaterSpectrum:
@@ -148,7 +153,8 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
     Raises
     ------
     ValueError
-        If ``w`` is not normalized (non-finite entries included).
+        From _check_normalized, if ``w`` is not of shape (n, n) or not
+        normalized (non-finite entries included).
     RuntimeError
         If the eigenvalue pairing is violated.
     numpy.linalg.LinAlgError
@@ -193,6 +199,12 @@ def reduced_density(w: AntisymW) -> "numpy.ndarray":
 
     Hermitian with unit trace; its eigenvalues are {2 z_k^2}, each doubly
     degenerate.
+
+    Raises
+    ------
+    ValueError
+        From _check_normalized, if ``w`` is not of shape (n, n) or not
+        normalized (non-finite entries included).
     """
     _check_normalized(w, "reduced_density")
     return 2.0 * (w.w.conj().T @ w.w).T

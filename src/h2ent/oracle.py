@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._mc_kernels import KINDS as MC_KINDS, integrand_samples
-from .specfun import _require_positive
+from .specfun import _is_integer, _require_positive
 
 __all__ = ["McEstimate", "quad_one_electron", "quad_two_electron", "mc_two_electron",
            "oracle_e1"]
@@ -370,11 +370,9 @@ def mc_two_electron(kind: str, s: float, n_samples: int, seed: int) -> McEstimat
     s = _require_positive(s, "oracle")
     if kind not in MC_KINDS:
         raise ValueError(f"unknown two-electron kind {kind!r}; expected one of {MC_KINDS}")
-    # a bool is an int, but not a count or a seed
-    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
-            or n_samples < MIN_SAMPLES):
+    if not _is_integer(n_samples) or n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be an integer >= {MIN_SAMPLES}, got {n_samples!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     n, seed = int(n_samples), int(seed)
     vals = np.empty(n)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .ci import E1S, _check_variant, _ground_entropy, ci_solve, ci_table
-from .specfun import MATH_XP, _require_positive, numpy_xp
+from .specfun import MATH_XP, _is_integer, _require_positive, numpy_xp
 
 __all__ = [
     "UNIT_FACTORS",
@@ -113,13 +113,16 @@ class ScanConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {bound!r}")
         if not self.s_min < self.s_max:
             raise ValueError(f"need s_min < s_max, got {self.s_min!r} >= {self.s_max!r}")
-        # an integer, numpy's included; not a bool, a float or a string
-        if isinstance(self.steps, bool) or not hasattr(type(self.steps), "__index__"):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps!r}")
+        _check_steps(self.steps)
         _check_unit(self.unit)
         _check_variant(self.h22_variant)
+
+
+def _check_steps(steps) -> None:
+    if not _is_integer(steps):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps!r}")
 
 
 def _check_unit(unit: str) -> None:
@@ -165,8 +168,15 @@ def record_at(s: float, variant: str = "corrected", unit: str = "rydberg") -> Sc
 
 
 def grid_values(s_min: float, s_max: float, steps: int) -> "numpy.ndarray":
-    """Uniform inclusive grid of `steps` points on [s_min, s_max]: s_min + i h."""
+    """Uniform inclusive grid of `steps` points on [s_min, s_max]: s_min + i h.
+
+    Raises
+    ------
+    ValueError
+        If steps is not an integer >= 2, as ScanConfig refuses it.
+    """
     import numpy as np
+    _check_steps(steps)
     h = (s_max - s_min) / (steps - 1)
     return s_min + np.arange(steps) * h
 

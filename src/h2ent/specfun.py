@@ -15,15 +15,17 @@ integral lives in the oracle module and the test suite.
 exp_integral_e1_array runs the same recurrences on a whole array, one numpy
 operation per step; it differs from the scalar only through numpy's log and
 exp, by a few ulp.  The series is one function of (x, xp) for both.  The
-continued fraction is the one formula written twice: its array loop must
-retire each element at the step where the scalar loop returns, because a
-Lentz step past convergence still moves the last bits of the result (of
-39 576 out of 40 000 x in (1, 700]), and a mask in place of the retiring
-would put extra calls on every step of the scalar loop, which is a large
-share of the time of one scalar record.  Every other closed form is written
-once, as f(s, xp) (the binary entropy as f(p, xp)), over MATH_XP for one
-point or numpy_xp() for arrays.  numpy is imported by the functions that
-build or read arrays, so that the scalar path never loads it.
+continued fraction has two loops, which read the same numerators
+_CF_NUMERATORS and stop on the same test, delta == 1.0; only the retiring
+belongs to the array loop, which takes each element out at the step where
+the scalar loop returns, because a Lentz step past convergence still moves
+the last bits of the result (of 39 576 out of 40 000 x in (1, 700]), and a
+mask in place of the retiring would put extra calls on every step of the
+scalar loop, which is a large share of the time of one scalar record.
+Every other closed form is written once, as f(s, xp) (the binary entropy as
+f(p, xp)), over MATH_XP for one point or numpy_xp() for arrays.  numpy is
+imported by the functions that build or read arrays, so that the scalar
+path never loads it.
 """
 
 import functools
@@ -42,6 +44,12 @@ _CF_MAX_ITER = 500
 _CF_TINY = 1e-300
 # the numerators -k^2 of the continued fraction, k = 1, 2, ...
 _CF_NUMERATORS = tuple(-float(k * k) for k in range(1, _CF_MAX_ITER))
+
+
+def _is_integer(x) -> bool:
+    """True for an integer, numpy's included; False for a bool, a float or a
+    string."""
+    return not isinstance(x, bool) and hasattr(type(x), "__index__")
 
 
 def _require_positive(x, who: str, name: str = "s") -> float:
@@ -83,8 +91,6 @@ def _e1_continued_fraction(x: float) -> float:
         c = b + a / c
         delta = c * d
         h *= delta
-        # the array loop's |delta - 1| < 1e-16: the floats next to 1.0 are
-        # 1 - 2^-53 and 1 + 2^-52, both farther from it than 1e-16
         if delta == 1.0:
             return h * math.exp(-x)
     raise RuntimeError(f"E1 continued fraction failed to converge for x={x!r}")
@@ -101,7 +107,9 @@ def exp_integral_e1(x: float) -> float:
     Returns
     -------
     float
-        E1(x); strictly positive and strictly decreasing in x.
+        E1(x); strictly positive and strictly decreasing in x up to about
+        x = 701.84, where it underflows to subnormal values with fewer
+        significant digits; 0.0 from x = 738.53 on.
 
     Raises
     ------
@@ -117,21 +125,20 @@ def exp_integral_e1(x: float) -> float:
 def _e1_continued_fraction_array(x):
     import numpy as np
     b = x + 1.0
-    c = np.full_like(x, 1.0 / _CF_TINY)
+    c = 1.0 / _CF_TINY
     d = 1.0 / b
     h = d.copy()
     out = np.empty_like(x)
     live = np.arange(x.size)
-    for k in range(1, _CF_MAX_ITER):
+    for a in islice(_CF_NUMERATORS, _CF_MAX_ITER - 1):
         if live.size == 0:
             break
-        a = -float(k * k)
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
         h *= delta
-        done = np.abs(delta - 1.0) < 1e-16
+        done = delta == 1.0
         if done.any():
             out[live[done]] = h[done]
             keep = ~done

@@ -43,6 +43,19 @@ def test_make_antisym_rejects_bad_input():
         make_antisym([1.0, 2.0], n=4)          # wrong entry count
 
 
+@pytest.mark.parametrize("n", [4.0, "4", True])
+def test_make_antisym_refuses_a_dimension_that_is_not_an_integer(n):
+    # 4.0 and "4" raised a TypeError from numpy or from <
+    with pytest.raises(ValueError, match="^single-particle dimension must be even and >= 2"):
+        make_antisym([1.0, 0, 0, 0, 0, 1.0], n)
+
+
+def test_make_antisym_accepts_a_numpy_integer_dimension():
+    w = make_antisym([1.0, 0, 0, 0, 0, 1.0], np.int64(4))
+    assert np.array_equal(w.w, make_antisym([1.0, 0, 0, 0, 0, 1.0], 4).w)
+    assert concurrence4(w) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_make_antisym_rejects_non_finite_entries():
     with pytest.raises(ValueError, match="make_antisym"):
         make_antisym([math.nan] * 6)
@@ -101,6 +114,23 @@ def test_slater_decompose_surfaces_eigensolver_failure():
 def test_concurrence_rejects_nan():
     with pytest.raises(ValueError, match="concurrence4"):
         concurrence4(AntisymW(n=4, w=np.full((4, 4), np.nan, dtype=complex)))
+
+
+def test_concurrence_refuses_an_unnormalized_state():
+    # three times a normalized state gave C = 9, outside [0, 1]
+    w = make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4)
+    with pytest.raises(ValueError, match=r"^concurrence4 requires a normalized AntisymW"):
+        concurrence4(AntisymW(n=4, w=3.0 * w.w))
+
+
+@pytest.mark.parametrize("measure", [concurrence4, slater_decompose, reduced_density])
+def test_antisym_measures_refuse_a_matrix_of_another_dimension(rng, measure):
+    # a normalized 6x6 w labelled n = 4: concurrence4 read its corner,
+    # slater_decompose gave three coefficients for n = 4
+    w = AntisymW(n=4, w=random_antisym(rng, 6).w)
+    with pytest.raises(ValueError, match=rf"^{measure.__name__} requires w of shape \(n, n\), "
+                                         r"got \(6, 6\) for n = 4$"):
+        measure(w)
 
 
 def test_slater_rank_rejects_nan():

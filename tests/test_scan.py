@@ -289,6 +289,16 @@ def test_scan_config_refuses_non_integral_steps(steps):
         grid_rows("fig3", ScanConfig(1.0, 2.0, steps))
 
 
+@pytest.mark.parametrize("steps, message", [(1, ">= 2"), (0, ">= 2"), (-3, ">= 2"),
+                                           (2.5, "an integer"), (True, "an integer")])
+def test_grid_values_refuses_what_scan_config_refuses(steps, message):
+    # 1 raised ZeroDivisionError, 0 and -3 gave an empty grid, 2.5 three
+    # points short of s_max
+    for refuse in (lambda: grid_values(0.5, 1.0, steps), lambda: ScanConfig(0.5, 1.0, steps)):
+        with pytest.raises(ValueError, match=rf"^steps must be {message}, got {steps!r}$"):
+            refuse()
+
+
 def test_scan_config_accepts_numpy_integers():
     config = ScanConfig(1.0, 2.0, np.int64(5))
     config.validate()
