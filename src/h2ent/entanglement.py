@@ -14,13 +14,16 @@ Implemented measures:
 
 * concurrence for n = 4:  C = 8 |w12 w34 + w13 w42 + w14 w23|  (8 |pfaffian|)
 * Slater coefficients {z_k} from the Hermitian spectrum of w^dag w, whose
-  eigenvalues are the doubly degenerate pairs {|z_k|^2}
+  eigenvalues are the doubly degenerate pairs {|z_k|^2}, each pair averaged
 * single-particle reduced density matrix rho = 2 (w^dag w)^T
 * von Neumann entropy  S = -1 - 4 sum_k z_k^2 log2 z_k^2   in [1, log2 n]
 
 Every function taking an AntisymW checks it with one guard,
-_check_normalized: w of shape (n, n) with sum |w_ij|^2 within NORM_TOL of
-1/2, which NaN and inf fail.  Everything is a pure function; no shared
+_check_antisym: w of shape (n, n), sum |w_ij|^2 within NORM_TOL of 1/2
+(which NaN and inf fail), and |w + w^T|_F <= NORM_TOL.  The concurrence is
+defined for an antisymmetric w only, and within that bound the eigenvalue
+pairs of w^dag w differ by about 1.4e-10 at most (Weyl's bound), so they
+need no test of their own.  Everything is a pure function; no shared
 state.  numpy is imported by the functions that use it, so that importing
 this module does not load it.
 """
@@ -41,11 +44,9 @@ __all__ = [
     "von_neumann_entropy",
 ]
 
-# allowed deviation of sum |w_ij|^2 from 1/2, and of sum z_k^2 from 1/4
+# allowed deviation of sum |w_ij|^2 from 1/2 and of sum z_k^2 from 1/4, and
+# allowed Frobenius norm of w + w^T
 NORM_TOL = 1e-10
-# eigenvalues of w^dag w must come in equal pairs; a worse mismatch means the
-# input was not antisymmetric/normalized and is reported, never masked
-PAIR_TOL = 1e-8
 _LOG_CLAMP = 1e-14
 
 
@@ -108,7 +109,7 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
     return AntisymW(n=n, w=w)
 
 
-def _check_normalized(w: AntisymW, name: str) -> None:
+def _check_antisym(w: AntisymW, name: str) -> None:
     # the one guard of an AntisymW; name is the caller, for the message
     import numpy as np
     if w.w.shape != (w.n, w.n):
@@ -117,6 +118,10 @@ def _check_normalized(w: AntisymW, name: str) -> None:
     # written so that NaN fails it too
     if not abs(nrm2 - 0.5) <= NORM_TOL:
         raise ValueError(f"{name} requires a normalized AntisymW, got sum |w_ij|^2 = {nrm2!r}")
+    sym = w.w + w.w.T
+    sym_norm = math.sqrt(np.vdot(sym, sym).real)
+    if sym_norm > NORM_TOL:
+        raise ValueError(f"{name} requires an antisymmetric w, got |w + w^T|_F = {sym_norm!r}")
 
 
 def _pfaffian4(w) -> complex:
@@ -128,17 +133,17 @@ def concurrence4(w: AntisymW) -> float:
 
     C = 8 |w12 w34 + w13 w42 + w14 w23| in [0, 1]; zero iff the state is a
     single Slater determinant.  The state passes the shared guard
-    _check_normalized first, as in slater_decompose and reduced_density.
+    _check_antisym first, as in slater_decompose and reduced_density.
 
     Raises
     ------
     ValueError
-        If n != 4, or, from _check_normalized, if w is not of shape (4, 4)
-        or not normalized (non-finite entries included).
+        If n != 4, or, from _check_antisym, if w is not of shape (4, 4),
+        not normalized (non-finite entries included) or not antisymmetric.
     """
     if w.n != 4:
         raise ValueError(f"concurrence4 is defined for n = 4, got n = {w.n}")
-    _check_normalized(w, "concurrence4")
+    _check_antisym(w, "concurrence4")
     return 8.0 * abs(_pfaffian4(w.w))
 
 
@@ -147,33 +152,26 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
 
     The Hermitian matrix w^dag w has eigenvalues {|z_k|^2}, each exactly
     doubly degenerate for an antisymmetric w.  Eigenvalues are sorted,
-    paired greedily, and each pair averaged; a pairing mismatch beyond
-    PAIR_TOL signals corrupted input and raises.
+    paired greedily, and each pair averaged.  The guard _check_antisym
+    bounds |w + w^T|_F by NORM_TOL, which keeps the two eigenvalues of a
+    pair within about 1.4e-10 of each other.
 
     Raises
     ------
     ValueError
-        From _check_normalized, if ``w`` is not of shape (n, n) or not
-        normalized (non-finite entries included).
-    RuntimeError
-        If the eigenvalue pairing is violated.
+        From _check_antisym, if ``w`` is not of shape (n, n), not
+        normalized (non-finite entries included) or not antisymmetric.
     numpy.linalg.LinAlgError
         If the Hermitian eigensolver itself fails (surfaced, not masked).
     """
     import numpy as np
-    _check_normalized(w, "slater_decompose")
+    _check_antisym(w, "slater_decompose")
     # a handful of numbers: past the eigensolver, Python floats are cheaper
     # than numpy calls, and do the same arithmetic
     evals = np.linalg.eigvalsh(w.w.conj().T @ w.w).tolist()[::-1]   # descending
     evals = [0.0 if e < 0.0 else e for e in evals]
-    pairs = list(zip(evals[::2], evals[1::2], strict=True))
-    mismatch = max(abs(a - b) for a, b in pairs)
-    if mismatch > PAIR_TOL:
-        raise RuntimeError(
-            f"eigenvalues of w^dag w are not doubly degenerate (mismatch {mismatch:.3e}); "
-            "input is not a normalized antisymmetric matrix")
     # descending as the eigenvalues are, since rounding is monotone
-    z = [math.sqrt((a + b) / 2.0) for a, b in pairs]
+    z = [math.sqrt((a + b) / 2.0) for a, b in zip(evals[::2], evals[1::2], strict=True)]
     return SlaterSpectrum(z=np.array(z), n=w.n)
 
 
@@ -203,10 +201,10 @@ def reduced_density(w: AntisymW) -> "numpy.ndarray":
     Raises
     ------
     ValueError
-        From _check_normalized, if ``w`` is not of shape (n, n) or not
-        normalized (non-finite entries included).
+        From _check_antisym, if ``w`` is not of shape (n, n), not
+        normalized (non-finite entries included) or not antisymmetric.
     """
-    _check_normalized(w, "reduced_density")
+    _check_antisym(w, "reduced_density")
     return 2.0 * (w.w.conj().T @ w.w).T
 
 

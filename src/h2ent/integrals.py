@@ -25,7 +25,7 @@ integral_table evaluates the same function over specfun.numpy_xp().
 import math
 from dataclasses import dataclass
 
-from .specfun import EULER_GAMMA, MATH_XP, _require_positive, numpy_xp
+from .specfun import EULER_GAMMA, MATH_XP, _is_real, _require_positive, numpy_xp
 
 __all__ = [
     "IntegralSet",
@@ -49,10 +49,11 @@ _ONE_CENTER = 0.625  # (aa|aa) = 5/8 Hartree, exact
 
 
 def _require_nonnegative(s: float, who: str) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s < 0.0:
-        raise ValueError(f"{who} requires finite s >= 0, got {s!r}")
-    return s
+    if _is_real(s):
+        s = float(s)
+        if math.isfinite(s) and s >= 0.0:
+            return s
+    raise ValueError(f"{who} requires finite s >= 0, got {s!r}")
 
 
 def _overlap(s, xp):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .ci import E1S, _check_variant, _ground_entropy, ci_solve, ci_table
-from .specfun import MATH_XP, _is_integer, _require_positive, numpy_xp
+from .specfun import MATH_XP, _is_integer, _is_real, _require_positive, numpy_xp
 
 __all__ = [
     "UNIT_FACTORS",
@@ -106,10 +106,7 @@ class ScanConfig:
     def validate(self) -> None:
         for name in ("s_min", "s_max"):
             bound = getattr(self, name)
-            # a real number, numpy's included; not a bool, a string, None or a
-            # complex (numpy's complex128 is a complex with a __float__)
-            if (isinstance(bound, (bool, complex)) or not hasattr(type(bound), "__float__")
-                    or not (math.isfinite(bound) and bound > 0.0)):
+            if not (_is_real(bound) and math.isfinite(bound) and bound > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {bound!r}")
         if not self.s_min < self.s_max:
             raise ValueError(f"need s_min < s_max, got {self.s_min!r} >= {self.s_max!r}")

@@ -52,13 +52,20 @@ def _is_integer(x) -> bool:
     return not isinstance(x, bool) and hasattr(type(x), "__index__")
 
 
+def _is_real(x) -> bool:
+    """True for a real number, numpy's included; False for a bool, a complex
+    (numpy's complex128 is a complex with a __float__), a string or None."""
+    return not isinstance(x, (bool, complex)) and hasattr(type(x), "__float__")
+
+
 def _require_positive(x, who: str, name: str = "s") -> float:
-    """float(x), if it is finite and > 0; otherwise a ValueError naming who
-    refused which argument."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"{who} requires finite {name} > 0, got {x!r}")
-    return x
+    """float(x), if x is a real number, finite and > 0; otherwise a
+    ValueError naming who refused which argument."""
+    if _is_real(x):
+        x = float(x)
+        if math.isfinite(x) and x > 0.0:
+            return x
+    raise ValueError(f"{who} requires finite {name} > 0, got {x!r}")
 
 
 def _e1_series(x, xp):

@@ -10,6 +10,7 @@ from h2ent.ci import (E1S, HamiltonianBlock, block_table, ci_solve, ci_table,
 from h2ent.entanglement import concurrence4, slater_decompose, von_neumann_entropy
 from h2ent.integrals import integral_set
 from h2ent.specfun import MATH_XP, binary_entropy, numpy_xp
+from test_scalar_golden import DISTANCES
 
 SQ2 = math.sqrt(0.5)
 GRID = np.linspace(0.3, 8.0, 60)
@@ -166,13 +167,31 @@ def test_ci_table_matches_ci_solve_on_grid():
         block_table(GRID, "typo")
 
 
-def test_solve_table_closed_form_guard_raises(monkeypatch):
-    # a negative tolerance fails every element with H11 < H22, as in solve_block
-    monkeypatch.setattr(h2ent.ci, "_CLOSED_FORM_TOL", -1.0)
-    with pytest.raises(RuntimeError, match="closed-form"):
-        ci_table(GRID)
-    with pytest.raises(RuntimeError, match="closed-form"):
-        ci_solve(1.0)
+def _closed_form_misses(block, sol):
+    # the paper's c1^2 and c2^2 against the solution's squares where
+    # H11 < H22, the formula's domain; 4.5e-16 is 2 ulp of 1
+    h11, h12, h22, c1, c2 = (np.atleast_1d(x) for x in
+                             (block.h11, block.h12, block.h22, sol.c1, sol.c2))
+    lower = h11 < h22
+    t = 2.0 * h12[lower] / (h11[lower] - h22[lower])
+    half = 0.5 / np.sqrt(1.0 + t * t)
+    return np.count_nonzero((np.abs(0.5 + half - c1[lower] ** 2) > 4.5e-16)
+                            | (np.abs(0.5 - half - c2[lower] ** 2) > 4.5e-16))
+
+
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+def test_closed_form_squares_match_the_solution_to_2_ulp(variant):
+    for s in DISTANCES:
+        block = hamiltonian_block(s, variant)
+        assert _closed_form_misses(block, solve_block(block)) == 0, s
+    grid = np.linspace(0.305, 19.995, 50_000)
+    block = block_table(grid, variant)
+    assert np.all(block.h11 < block.h22)
+    assert _closed_form_misses(block, ci_table(grid, variant)) == 0
+    for a, b, d in HAND_BLOCKS:
+        if a < d:
+            block = HamiltonianBlock(s=1.0, h11=a, h12=b, h21=b, h22=d, variant=variant)
+            assert _closed_form_misses(block, solve_block(block)) == 0, (a, b, d)
 
 
 def test_dissociation_limit():

@@ -97,11 +97,12 @@ def test_slater_spectrum_normalization(rng, n):
 
 
 def test_slater_decompose_surfaces_pairing_violation():
-    # a non-antisymmetric matrix has no doubly degenerate w^dag w spectrum
+    # a non-antisymmetric matrix has no doubly degenerate w^dag w spectrum;
+    # the guard refuses it before the eigensolver
     w = np.zeros((4, 4), dtype=complex)
     w[0, 1], w[1, 0] = 0.7, -0.1
     w *= math.sqrt(0.5 / np.sum(np.abs(w) ** 2))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="^slater_decompose requires an antisymmetric w"):
         slater_decompose(AntisymW(n=4, w=w))
 
 
@@ -131,6 +132,30 @@ def test_antisym_measures_refuse_a_matrix_of_another_dimension(rng, measure):
     with pytest.raises(ValueError, match=rf"^{measure.__name__} requires w of shape \(n, n\), "
                                          r"got \(6, 6\) for n = 4$"):
         measure(w)
+
+
+@pytest.mark.parametrize("measure", [concurrence4, slater_decompose, reduced_density])
+def test_antisym_measures_refuse_a_matrix_that_is_not_antisymmetric(measure):
+    # normalized, but w^T != -w: concurrence4 gave C = 1.815, outside [0, 1],
+    # and reduced_density a unit-trace matrix
+    w = np.zeros((4, 4), dtype=complex)
+    w[0, 1], w[1, 0], w[2, 3], w[3, 2] = 0.7, -0.1, 0.7, 0.3
+    w *= math.sqrt(0.5 / np.sum(np.abs(w) ** 2))
+    with pytest.raises(ValueError, match=rf"^{measure.__name__} requires an antisymmetric w, "
+                                         r"got \|w \+ w\^T\|_F = "):
+        measure(AntisymW(n=4, w=w))
+
+
+@pytest.mark.parametrize("measure", [concurrence4, slater_decompose, reduced_density])
+def test_antisym_measures_bound_the_symmetric_part(rng, measure):
+    # |w + w^T|_F <= NORM_TOL = 1e-10, so a symmetric part (w + w^T)/2 of
+    # Frobenius norm 2e-10 is refused and one of 2e-11 accepted
+    w = random_antisym(rng, 4)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    sym = (m + m.T) / np.linalg.norm(m + m.T)
+    with pytest.raises(ValueError, match="requires an antisymmetric w"):
+        measure(AntisymW(n=4, w=w.w + 2e-10 * sym))
+    measure(AntisymW(n=4, w=w.w + 2e-11 * sym))
 
 
 def test_slater_rank_rejects_nan():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ def test_overlap_matches_quadrature():
 def test_overlap_domain_error():
     with pytest.raises(ValueError):
         overlap(-0.5)
+
+
+@pytest.mark.parametrize("bad", ["2", True, None, 1j])
+@pytest.mark.parametrize("function", [overlap, s_prime, kprime])
+def test_nonnegative_arguments_refuse_what_is_not_a_real_number(function, bad):
+    # "2" and True ran as 2.0 and 1.0; None and 1j raised a TypeError that
+    # named no function
+    message = rf"^{function.__name__} requires finite s >= 0, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        function(bad)
 
 
 def test_s_prime_values():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,13 +81,24 @@ def test_e1_domain_errors(bad):
         exp_integral_e1(bad)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, "2", True, None, 1j])
 @pytest.mark.parametrize("function", sorted(POSITIVE_ARGUMENTS))
 def test_positive_arguments_are_refused_by_one_message(function, bad):
-    # slater_rank(spec, tol=inf) counted no coefficient of a normalized state
+    # slater_rank(spec, tol=inf) counted no coefficient of a normalized state;
+    # record_at("2") and record_at(True) ran at s = 2.0 and 1.0, and None and
+    # 1j raised a TypeError that named no function
     who, name, call = POSITIVE_ARGUMENTS[function]
-    with pytest.raises(ValueError, match=rf"^{who} requires finite {name} > 0, got {bad!r}$"):
+    message = rf"^{who} requires finite {name} > 0, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
         call(bad)
+
+
+@pytest.mark.parametrize("function", sorted(POSITIVE_ARGUMENTS))
+def test_positive_arguments_accept_numpy_numbers(function):
+    call = POSITIVE_ARGUMENTS[function][2]
+    expected = repr(call(2.0))
+    assert repr(call(np.float64(2.0))) == expected
+    assert repr(call(np.int64(2))) == expected
 
 
 def test_e1_array_matches_scalar_within_4_ulp():
