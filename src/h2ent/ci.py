@@ -182,19 +182,18 @@ def w_from_ci(c1: float, c2: float) -> AntisymW:
     Basis order |a up>, |a down>, |b up>, |b down>; the spin-triplet entries
     w13, w24 vanish because the ground state is a singlet.
     """
-    import numpy as np
     _check_coefficients(c1, c2, "w_from_ci")
     plus = (c1 + c2) / 4.0
     minus = (c1 - c2) / 4.0
     # exact normalization guard against accumulated input round-off.  The sum
     # of the 16 squared moduli, as numpy's pairwise sum adds them, is exactly
     # 4 (plus^2 + minus^2); the lower triangle is 0 - upper, as w - w.T gives
-    # it, so that a zero entry stays +0.0
+    # it, so that a zero entry stays +0.0.  AntisymW makes the complex array
+    # of these rows
     scale = math.sqrt(0.5 / (4.0 * (plus * plus + minus * minus)))
     p, m = plus * scale, minus * scale
-    w = np.array([[0.0, p, 0.0, m], [0.0 - p, 0.0, -m, 0.0],
-                  [0.0, 0.0 + m, 0.0, p], [0.0 - m, 0.0, 0.0 - p, 0.0]], dtype=complex)
-    return AntisymW(n=4, w=w)
+    return AntisymW(n=4, w=[[0.0, p, 0.0, m], [0.0 - p, 0.0, -m, 0.0],
+                            [0.0, 0.0 + m, 0.0, p], [0.0 - m, 0.0, 0.0 - p, 0.0]])
 
 
 def ground_concurrence(c1: float, c2: float) -> float:

@@ -18,9 +18,13 @@ Implemented measures:
 * single-particle reduced density matrix rho = 2 (w^dag w)^T
 * von Neumann entropy  S = -1 - 4 sum_k z_k^2 log2 z_k^2   in [1, log2 n]
 
-Every function taking an AntisymW checks it with one guard,
-_check_antisym: w of shape (n, n), sum |w_ij|^2 within NORM_TOL of 1/2
-(which NaN and inf fail), and |w + w^T|_F <= NORM_TOL.  The concurrence is
+Each value is checked once, where it is made.  An AntisymW refuses, in
+__post_init__, an n that is not an even integer >= 2, a w not of shape
+(n, n), sum |w_ij|^2 off 1/2 by more than NORM_TOL (which NaN and inf
+fail), and |w + w^T|_F > NORM_TOL.  A SlaterSpectrum refuses sum z_k^2 off
+1/4 by more than NORM_TOL (which a non-finite z_k fails).  Both keep a
+read-only copy of their array, so no later write gets past the check, and
+the measures read them without a check of their own.  The concurrence is
 defined for an antisymmetric w only, and within that bound the eigenvalue
 pairs of w^dag w differ by about 1.4e-10 at most (Weyl's bound), so they
 need no test of their own.  Everything is a pure function; no shared
@@ -50,6 +54,11 @@ NORM_TOL = 1e-10
 _LOG_CLAMP = 1e-14
 
 
+def _check_dimension(n) -> None:
+    if not _is_integer(n) or n < 2 or n % 2 != 0:
+        raise ValueError(f"single-particle dimension must be even and >= 2, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class AntisymW:
     """Antisymmetric coefficient matrix of a two-fermion pure state.
@@ -59,19 +68,63 @@ class AntisymW:
     n : int
         Even dimension of the single-particle space.
     w : numpy.ndarray
-        Complex (n, n) matrix with w.T == -w and sum |w_ij|^2 == 1/2.
+        Complex (n, n) matrix with w.T == -w and sum |w_ij|^2 == 1/2: a
+        read-only copy of the array given.
+
+    Raises
+    ------
+    ValueError
+        If n is not an even integer >= 2, or w is not of shape (n, n), not
+        normalized (non-finite entries included) or not antisymmetric.
     """
 
     n: int
     w: "numpy.ndarray"
 
+    def __post_init__(self) -> None:
+        import numpy as np
+        n, w = self.n, np.array(self.w, dtype=complex)
+        _check_dimension(n)
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
+        if w.shape != (n, n):
+            raise ValueError(f"AntisymW requires w of shape (n, n), got {w.shape} for n = {n!r}")
+        nrm2 = float(np.vdot(w, w).real)
+        # written so that NaN fails it too
+        if not abs(nrm2 - 0.5) <= NORM_TOL:
+            raise ValueError(f"AntisymW requires a normalized w, got sum |w_ij|^2 = {nrm2!r}")
+        sym = w + w.T
+        norm = math.sqrt(np.vdot(sym, sym).real)
+        if norm > NORM_TOL:
+            raise ValueError(f"AntisymW requires an antisymmetric w, got |w + w^T|_F = {norm!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class SlaterSpectrum:
-    """Nonnegative Slater coefficients z_k, sorted descending; sum z_k^2 = 1/4."""
+    """Nonnegative Slater coefficients z_k, sorted descending; sum z_k^2 = 1/4.
+
+    z is a read-only float copy of the sequence given.
+
+    Raises
+    ------
+    ValueError
+        If a coefficient is not finite, or sum z_k^2 is off 1/4 by more
+        than NORM_TOL.
+    """
 
     z: "numpy.ndarray"
     n: int
+
+    def __post_init__(self) -> None:
+        import numpy as np
+        z = np.array(self.z, dtype=float)
+        z.setflags(write=False)
+        object.__setattr__(self, "z", z)
+        total = sum((z ** 2).tolist())
+        # written so that NaN fails it too: a non-finite z_k makes the sum NaN or inf
+        if not abs(total - 0.25) <= NORM_TOL:
+            raise ValueError(f"SlaterSpectrum requires finite Slater coefficients with "
+                             f"sum z_k^2 = 1/4, got {total!r} from z = {z!r}")
 
 
 def make_antisym(upper_entries, n: int = 4) -> AntisymW:
@@ -90,8 +143,7 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
         The antisymmetric completion rescaled so sum |w_ij|^2 = 1/2.
     """
     import numpy as np
-    if not _is_integer(n) or n < 2 or n % 2 != 0:
-        raise ValueError(f"single-particle dimension must be even and >= 2, got {n}")
+    _check_dimension(n)
     entries = np.asarray(upper_entries, dtype=complex).ravel()
     want = n * (n - 1) // 2
     if entries.size != want:
@@ -109,42 +161,21 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
     return AntisymW(n=n, w=w)
 
 
-def _check_antisym(w: AntisymW, name: str) -> None:
-    # the one guard of an AntisymW; name is the caller, for the message
-    import numpy as np
-    if w.w.shape != (w.n, w.n):
-        raise ValueError(f"{name} requires w of shape (n, n), got {w.w.shape} for n = {w.n!r}")
-    nrm2 = float(np.vdot(w.w, w.w).real)
-    # written so that NaN fails it too
-    if not abs(nrm2 - 0.5) <= NORM_TOL:
-        raise ValueError(f"{name} requires a normalized AntisymW, got sum |w_ij|^2 = {nrm2!r}")
-    sym = w.w + w.w.T
-    sym_norm = math.sqrt(np.vdot(sym, sym).real)
-    if sym_norm > NORM_TOL:
-        raise ValueError(f"{name} requires an antisymmetric w, got |w + w^T|_F = {sym_norm!r}")
-
-
-def _pfaffian4(w) -> complex:
-    return (w[0, 1] * w[2, 3] - w[0, 2] * w[1, 3] + w[0, 3] * w[1, 2])
-
-
 def concurrence4(w: AntisymW) -> float:
     """Concurrence of a two-fermion pure state with n = 4.
 
     C = 8 |w12 w34 + w13 w42 + w14 w23| in [0, 1]; zero iff the state is a
-    single Slater determinant.  The state passes the shared guard
-    _check_antisym first, as in slater_decompose and reduced_density.
+    single Slater determinant.  The AntisymW was checked when it was made.
 
     Raises
     ------
     ValueError
-        If n != 4, or, from _check_antisym, if w is not of shape (4, 4),
-        not normalized (non-finite entries included) or not antisymmetric.
+        If n != 4.
     """
     if w.n != 4:
         raise ValueError(f"concurrence4 is defined for n = 4, got n = {w.n}")
-    _check_antisym(w, "concurrence4")
-    return 8.0 * abs(_pfaffian4(w.w))
+    # 8 |Pf w|
+    return 8.0 * abs(w.w[0, 1] * w.w[2, 3] - w.w[0, 2] * w.w[1, 3] + w.w[0, 3] * w.w[1, 2])
 
 
 def slater_decompose(w: AntisymW) -> SlaterSpectrum:
@@ -152,27 +183,23 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
 
     The Hermitian matrix w^dag w has eigenvalues {|z_k|^2}, each exactly
     doubly degenerate for an antisymmetric w.  Eigenvalues are sorted,
-    paired greedily, and each pair averaged.  The guard _check_antisym
-    bounds |w + w^T|_F by NORM_TOL, which keeps the two eigenvalues of a
-    pair within about 1.4e-10 of each other.
+    paired greedily, and each pair averaged.  An AntisymW has |w + w^T|_F
+    <= NORM_TOL, which keeps the two eigenvalues of a pair within about
+    1.4e-10 of each other.
 
     Raises
     ------
-    ValueError
-        From _check_antisym, if ``w`` is not of shape (n, n), not
-        normalized (non-finite entries included) or not antisymmetric.
     numpy.linalg.LinAlgError
         If the Hermitian eigensolver itself fails (surfaced, not masked).
     """
     import numpy as np
-    _check_antisym(w, "slater_decompose")
     # a handful of numbers: past the eigensolver, Python floats are cheaper
     # than numpy calls, and do the same arithmetic
     evals = np.linalg.eigvalsh(w.w.conj().T @ w.w).tolist()[::-1]   # descending
     evals = [0.0 if e < 0.0 else e for e in evals]
     # descending as the eigenvalues are, since rounding is monotone
     z = [math.sqrt((a + b) / 2.0) for a, b in zip(evals[::2], evals[1::2], strict=True)]
-    return SlaterSpectrum(z=np.array(z), n=w.n)
+    return SlaterSpectrum(z=z, n=w.n)
 
 
 def slater_rank(spec: SlaterSpectrum, tol: float = 1e-10) -> int:
@@ -181,30 +208,20 @@ def slater_rank(spec: SlaterSpectrum, tol: float = 1e-10) -> int:
     Raises
     ------
     ValueError
-        If ``tol`` is not finite and > 0 or a coefficient is not finite.
+        If ``tol`` is not finite and > 0.
     """
-    import numpy as np
     tol = _require_positive(tol, "slater_rank", "tol")
     # a handful of numbers: Python floats are cheaper than numpy calls
-    z = np.asarray(spec.z, dtype=float).tolist()
-    if not all(map(math.isfinite, z)):
-        raise ValueError(f"slater_rank requires finite Slater coefficients, got z = {spec.z!r}")
-    return sum(v > tol for v in z)
+    return sum(v > tol for v in spec.z.tolist())
 
 
 def reduced_density(w: AntisymW) -> "numpy.ndarray":
     """Single-particle reduced density matrix rho_{nu mu} = 2 (w^dag w)_{mu nu}.
 
     Hermitian with unit trace; its eigenvalues are {2 z_k^2}, each doubly
-    degenerate.
-
-    Raises
-    ------
-    ValueError
-        From _check_antisym, if ``w`` is not of shape (n, n), not
-        normalized (non-finite entries included) or not antisymmetric.
+    degenerate.  The AntisymW was checked when it was made, so nothing is
+    refused here.
     """
-    _check_antisym(w, "reduced_density")
     return 2.0 * (w.w.conj().T @ w.w).T
 
 
@@ -212,20 +229,10 @@ def von_neumann_entropy(spec: SlaterSpectrum) -> float:
     """Entropy of either particle: S = -1 - 4 sum_k z_k^2 log2 z_k^2.
 
     Ranges from 1 (single Slater determinant) to log2 n for even n.
-    Coefficients with z_k^2 below 1e-14 are treated as exact zeros.
-
-    Raises
-    ------
-    ValueError
-        If a coefficient is not finite, or sum z_k^2 is off 1/4 by more
-        than NORM_TOL.
+    Coefficients with z_k^2 below 1e-14 are treated as exact zeros.  The
+    SlaterSpectrum was checked when it was made, so nothing is refused here.
     """
     import numpy as np
-    z2 = np.asarray(spec.z, dtype=float) ** 2
-    total = sum(z2.tolist())
-    # written so that NaN fails it too
-    if not abs(total - 0.25) <= NORM_TOL:
-        raise ValueError(f"von_neumann_entropy requires finite Slater coefficients with "
-                         f"sum z_k^2 = 1/4, got {total!r} from z = {spec.z!r}")
+    z2 = spec.z ** 2
     z2 = z2[z2 > _LOG_CLAMP]
     return -1.0 - 4.0 * float((z2 * np.log2(z2)).sum())

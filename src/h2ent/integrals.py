@@ -25,7 +25,7 @@ integral_table evaluates the same function over specfun.numpy_xp().
 import math
 from dataclasses import dataclass
 
-from .specfun import EULER_GAMMA, MATH_XP, _is_real, _require_positive, numpy_xp
+from .specfun import EULER_GAMMA, MATH_XP, _require_positive, numpy_xp
 
 __all__ = [
     "IntegralSet",
@@ -46,14 +46,6 @@ __all__ = [
 EXCHANGE_SMALL_S = 1e-2
 
 _ONE_CENTER = 0.625  # (aa|aa) = 5/8 Hartree, exact
-
-
-def _require_nonnegative(s: float, who: str) -> float:
-    if _is_real(s):
-        s = float(s)
-        if math.isfinite(s) and s >= 0.0:
-            return s
-    raise ValueError(f"{who} requires finite s >= 0, got {s!r}")
 
 
 def _overlap(s, xp):
@@ -110,7 +102,7 @@ def _exchange_series(s):
 
 def overlap(s: float) -> float:
     """Overlap S(s) = (1 + s + s^2/3) e^-s of two 1s orbitals; S(0) = 1."""
-    return _overlap(_require_nonnegative(s, "overlap"), MATH_XP)
+    return _overlap(_require_positive(s, "overlap", or_zero=True), MATH_XP)
 
 
 def s_prime(s: float) -> float:
@@ -118,7 +110,7 @@ def s_prime(s: float) -> float:
 
     It grows like s^2 e^s / 3 and leaves float64 near s = 697, where a
     ValueError is raised instead of returning inf."""
-    s = _require_nonnegative(s, "s_prime")
+    s = _require_positive(s, "s_prime", or_zero=True)
     try:
         value = _s_prime(s, MATH_XP)
     except OverflowError:  # math.exp itself, above s = 709.78
@@ -139,7 +131,7 @@ def jprime(s: float) -> float:
 
 def kprime(s: float) -> float:
     """One-electron exchange integral k'(s) = (1 + s) e^-s (Hartree)."""
-    return _kprime(_require_nonnegative(s, "kprime"), MATH_XP)
+    return _kprime(_require_positive(s, "kprime", or_zero=True), MATH_XP)
 
 
 def coulomb_j(s: float) -> float:

@@ -53,19 +53,25 @@ def _is_integer(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    """True for a real number, numpy's included; False for a bool, a complex
-    (numpy's complex128 is a complex with a __float__), a string or None."""
-    return not isinstance(x, (bool, complex)) and hasattr(type(x), "__float__")
+    """True for a numbers.Real, numpy's included; False for a bool (numpy's
+    bool_ too), a complex (numpy's complex64 and clongdouble too), a
+    Decimal, a string or None."""
+    # the float test first: it is three times cheaper than numbers.Real,
+    # and the CLI's own arguments, all floats, never import numbers
+    if type(x) is float:
+        return True
+    import numbers
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _require_positive(x, who: str, name: str = "s") -> float:
-    """float(x), if x is a real number, finite and > 0; otherwise a
-    ValueError naming who refused which argument."""
+def _require_positive(x, who: str, name: str = "s", or_zero: bool = False) -> float:
+    """float(x), if x is a real number, finite and > 0 (or >= 0, with
+    or_zero); otherwise a ValueError naming who refused which argument."""
     if _is_real(x):
         x = float(x)
-        if math.isfinite(x) and x > 0.0:
+        if math.isfinite(x) and (x > 0.0 or or_zero and x == 0.0):
             return x
-    raise ValueError(f"{who} requires finite {name} > 0, got {x!r}")
+    raise ValueError(f"{who} requires finite {name} {'>=' if or_zero else '>'} 0, got {x!r}")
 
 
 def _e1_series(x, xp):

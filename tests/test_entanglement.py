@@ -98,40 +98,45 @@ def test_slater_spectrum_normalization(rng, n):
 
 def test_slater_decompose_surfaces_pairing_violation():
     # a non-antisymmetric matrix has no doubly degenerate w^dag w spectrum;
-    # the guard refuses it before the eigensolver
+    # it is refused when made, before the eigensolver
     w = np.zeros((4, 4), dtype=complex)
     w[0, 1], w[1, 0] = 0.7, -0.1
     w *= math.sqrt(0.5 / np.sum(np.abs(w) ** 2))
-    with pytest.raises(ValueError, match="^slater_decompose requires an antisymmetric w"):
+    with pytest.raises(ValueError, match="^AntisymW requires an antisymmetric w"):
         slater_decompose(AntisymW(n=4, w=w))
 
 
-def test_slater_decompose_surfaces_eigensolver_failure():
-    w = np.full((4, 4), np.nan, dtype=complex)
-    with pytest.raises((np.linalg.LinAlgError, ValueError)):
-        slater_decompose(AntisymW(n=4, w=w))
+def test_slater_decompose_surfaces_eigensolver_failure(monkeypatch):
+    # a NaN w is refused when made, so a failing eigensolver is simulated
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        slater_decompose(make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4))
 
 
 def test_concurrence_rejects_nan():
-    with pytest.raises(ValueError, match="concurrence4"):
+    with pytest.raises(ValueError, match=r"^AntisymW requires a normalized w, "
+                                         r"got sum \|w_ij\|\^2 = nan$"):
         concurrence4(AntisymW(n=4, w=np.full((4, 4), np.nan, dtype=complex)))
 
 
 def test_concurrence_refuses_an_unnormalized_state():
     # three times a normalized state gave C = 9, outside [0, 1]
     w = make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4)
-    with pytest.raises(ValueError, match=r"^concurrence4 requires a normalized AntisymW"):
+    with pytest.raises(ValueError, match=r"^AntisymW requires a normalized w"):
         concurrence4(AntisymW(n=4, w=3.0 * w.w))
 
 
+# the three tests below are parametrized by the measures that read an
+# AntisymW: the state is refused when it is made, so none of them sees it
 @pytest.mark.parametrize("measure", [concurrence4, slater_decompose, reduced_density])
 def test_antisym_measures_refuse_a_matrix_of_another_dimension(rng, measure):
     # a normalized 6x6 w labelled n = 4: concurrence4 read its corner,
     # slater_decompose gave three coefficients for n = 4
-    w = AntisymW(n=4, w=random_antisym(rng, 6).w)
-    with pytest.raises(ValueError, match=rf"^{measure.__name__} requires w of shape \(n, n\), "
+    with pytest.raises(ValueError, match=r"^AntisymW requires w of shape \(n, n\), "
                                          r"got \(6, 6\) for n = 4$"):
-        measure(w)
+        measure(AntisymW(n=4, w=random_antisym(rng, 6).w))
 
 
 @pytest.mark.parametrize("measure", [concurrence4, slater_decompose, reduced_density])
@@ -141,7 +146,7 @@ def test_antisym_measures_refuse_a_matrix_that_is_not_antisymmetric(measure):
     w = np.zeros((4, 4), dtype=complex)
     w[0, 1], w[1, 0], w[2, 3], w[3, 2] = 0.7, -0.1, 0.7, 0.3
     w *= math.sqrt(0.5 / np.sum(np.abs(w) ** 2))
-    with pytest.raises(ValueError, match=rf"^{measure.__name__} requires an antisymmetric w, "
+    with pytest.raises(ValueError, match=r"^AntisymW requires an antisymmetric w, "
                                          r"got \|w \+ w\^T\|_F = "):
         measure(AntisymW(n=4, w=w))
 
@@ -153,27 +158,65 @@ def test_antisym_measures_bound_the_symmetric_part(rng, measure):
     w = random_antisym(rng, 4)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     sym = (m + m.T) / np.linalg.norm(m + m.T)
-    with pytest.raises(ValueError, match="requires an antisymmetric w"):
+    with pytest.raises(ValueError, match="^AntisymW requires an antisymmetric w"):
         measure(AntisymW(n=4, w=w.w + 2e-10 * sym))
     measure(AntisymW(n=4, w=w.w + 2e-11 * sym))
 
 
+def test_antisymw_refuses_an_odd_dimension():
+    # a normalized antisymmetric 3x3 w: slater_decompose raised zip()'s bare
+    # ValueError, and reduced_density returned a unit-trace matrix
+    w = np.zeros((3, 3), dtype=complex)
+    w[0, 1], w[1, 0] = 0.5, -0.5
+    with pytest.raises(ValueError, match="^single-particle dimension must be even and >= 2, "
+                                         "got 3$"):
+        AntisymW(n=3, w=w)
+
+
+@pytest.mark.parametrize("n", [0, 4.0, "4", True])
+def test_antisymw_refuses_a_dimension_that_is_not_an_even_integer(n):
+    w = make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4).w
+    with pytest.raises(ValueError, match="^single-particle dimension must be even and >= 2"):
+        AntisymW(n=n, w=w)
+
+
+def test_antisymw_keeps_a_read_only_copy():
+    given = make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4).w.copy()
+    aw = AntisymW(n=4, w=given)
+    with pytest.raises(ValueError, match="read-only"):
+        aw.w[0, 1] = 5.0
+    given[0, 1] = 5.0
+    assert not np.shares_memory(aw.w, given)
+    assert aw.w[0, 1] == pytest.approx(INV_SQRT8, abs=1e-15)
+    assert concurrence4(aw) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_slater_spectrum_keeps_a_read_only_copy():
+    given = np.array([0.5, 0.0])
+    spec = SlaterSpectrum(z=given, n=4)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.z[1] = 0.5
+    given[1] = 0.5
+    assert not np.shares_memory(spec.z, given)
+    assert von_neumann_entropy(spec) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_slater_rank_rejects_nan():
-    with pytest.raises(ValueError, match="slater_rank"):
+    with pytest.raises(ValueError, match="^SlaterSpectrum requires finite Slater coefficients"):
         slater_rank(SlaterSpectrum(z=np.array([np.nan, np.nan]), n=4))
 
 
 def test_slater_rank_counts_above_tolerance():
     spec = SlaterSpectrum(z=np.array([0.5, 0.0]), n=4)
     assert slater_rank(spec, 1e-10) == 1
-    spec2 = SlaterSpectrum(z=np.array([0.49, 0.099]), n=4)
+    spec2 = SlaterSpectrum(z=np.array([0.49, math.sqrt(0.25 - 0.49 ** 2)]), n=4)
     assert slater_rank(spec2, 1e-6) == 2
     with pytest.raises(ValueError):
         slater_rank(spec, 0.0)
 
 
 def test_reduced_density_rejects_nan():
-    with pytest.raises(ValueError, match="reduced_density"):
+    with pytest.raises(ValueError, match="^AntisymW requires a normalized w"):
         reduced_density(AntisymW(n=4, w=np.full((4, 4), np.nan, dtype=complex)))
 
 
@@ -208,13 +251,14 @@ def test_entropy_of_maximally_mixed_state_is_two():
 
 @pytest.mark.parametrize("z", [[math.nan, math.nan], [0.5, math.nan], [math.inf, 0.0]])
 def test_entropy_rejects_non_finite_coefficients(z):
-    with pytest.raises(ValueError, match="von_neumann_entropy"):
+    with pytest.raises(ValueError, match="^SlaterSpectrum requires finite Slater coefficients"):
         von_neumann_entropy(SlaterSpectrum(z=z, n=4))
 
 
 def test_entropy_rejects_unnormalized_spectrum():
     # sum z_k^2 = 1/2, not 1/4: the formula alone would return 3.0
-    with pytest.raises(ValueError, match="von_neumann_entropy"):
+    with pytest.raises(ValueError, match=r"^SlaterSpectrum requires finite Slater coefficients "
+                                         r"with sum z_k\^2 = 1/4, got 0\.5 from z = "):
         von_neumann_entropy(SlaterSpectrum(z=np.array([0.5, 0.5]), n=4))
 
 

@@ -30,11 +30,13 @@ def test_overlap_domain_error():
         overlap(-0.5)
 
 
-@pytest.mark.parametrize("bad", ["2", True, None, 1j])
+@pytest.mark.parametrize("bad", ["2", True, None, 1j, np.True_, np.complex64(2 + 1j),
+                                 np.clongdouble(2 + 1j)])
 @pytest.mark.parametrize("function", [overlap, s_prime, kprime])
 def test_nonnegative_arguments_refuse_what_is_not_a_real_number(function, bad):
     # "2" and True ran as 2.0 and 1.0; None and 1j raised a TypeError that
-    # named no function
+    # named no function; numpy's bool_, complex64 and clongdouble ran as 1.0
+    # and 2.0
     message = rf"^{function.__name__} requires finite s >= 0, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=message):
         function(bad)

@@ -400,10 +400,12 @@ def test_record_at_refuses_bad_arguments_as_such():
 
 @pytest.mark.parametrize("bound", ["s_min", "s_max"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "1", None, 1j,
-                                   np.complex128(1 + 5j), True])
+                                   np.complex128(1 + 5j), True, np.True_, np.complex64(1 + 3j),
+                                   np.clongdouble(1 + 3j)])
 def test_scan_config_refuses_non_finite_bounds(bound, value):
     # s_min = 1, s_max = inf said "s_max must be > 0, got inf"; "1", None
-    # and 1j raised a TypeError, and True and numpy's 1+5j ran as 1.0
+    # and 1j raised a TypeError, and True and numpy's 1+5j ran as 1.0; numpy's
+    # bool_ ran as 1.0, and its complex64 and clongdouble 1+3j were kept
     other = {"s_min": 1.0, "s_max": 2.0}
     message = rf"^{bound} must be finite and > 0, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):

@@ -81,12 +81,14 @@ def test_e1_domain_errors(bad):
         exp_integral_e1(bad)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, "2", True, None, 1j])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, "2", True, None, 1j,
+                                 np.True_, np.complex64(2 + 1j), np.clongdouble(2 + 1j)])
 @pytest.mark.parametrize("function", sorted(POSITIVE_ARGUMENTS))
 def test_positive_arguments_are_refused_by_one_message(function, bad):
     # slater_rank(spec, tol=inf) counted no coefficient of a normalized state;
     # record_at("2") and record_at(True) ran at s = 2.0 and 1.0, and None and
-    # 1j raised a TypeError that named no function
+    # 1j raised a TypeError that named no function; numpy's bool_, complex64
+    # and clongdouble, which have a __float__, ran at s = 1.0 and 2.0
     who, name, call = POSITIVE_ARGUMENTS[function]
     message = rf"^{who} requires finite {name} > 0, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=message):
