@@ -12,9 +12,12 @@ integrals of the integrals module,
 
 H22 above is the "corrected" variant, consistent with the antibonding
 normalization 1/(2(1-S)); a "printed" variant that keeps (1+S) denominators
-in H22 is retained behind a flag for comparison.  The ground state of the
-symmetric 2x2 block is its eigenvector (cos phi, -sin phi), with the rotation
-angle 2 phi = atan2(2 H12, H22 - H11).  Where H11 < H22 its squares are the
+in H22 is retained behind a flag for comparison.  A HamiltonianBlock holds
+s, H11, H12 and H22 only: H21 is H12, and the variant has chosen H22's
+denominators by the time the block is made, so a block built by hand is
+symmetric too.  The ground state of the symmetric 2x2 block is its
+eigenvector (cos phi, -sin phi), with the rotation angle
+2 phi = atan2(2 H12, H22 - H11).  Where H11 < H22 its squares are the
 paper's closed-form coefficient squares
 
     c1^2, c2^2 = 1/2 +- 1/(2 sqrt(1 + (2 H12 / (H11 - H22))^2)),
@@ -70,14 +73,13 @@ _COEFF_NORM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class HamiltonianBlock:
-    """Symmetric 2x2 CI Hamiltonian at one reduced distance (Hartree)."""
+    """Symmetric 2x2 CI Hamiltonian [[h11, h12], [h12, h22]] at one reduced
+    distance (Hartree)."""
 
     s: float
     h11: float
     h12: float
-    h21: float
     h22: float
-    variant: str
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def _block_of(q, variant: str) -> HamiltonianBlock:
     e11 = _diagonal(q, 1.0, 1.0 + q.S)
     e12 = (q.m - q.j) / (2.0 * (1.0 - q.S * q.S))
     e22 = _diagonal(q, -1.0, 1.0 - q.S if variant == "corrected" else 1.0 + q.S)
-    return HamiltonianBlock(s=q.s, h11=e11, h12=e12, h21=e12, h22=e22, variant=variant)
+    return HamiltonianBlock(s=q.s, h11=e11, h12=e12, h22=e22)
 
 
 def hamiltonian_block(s: float, variant: str = "corrected") -> HamiltonianBlock:
@@ -141,7 +143,8 @@ def _solve(block: HamiltonianBlock, xp) -> CiSolution:
 
 
 def solve_block(block: HamiltonianBlock) -> CiSolution:
-    """Ground eigenpair of a symmetric 2x2 block, deterministic and closed-form.
+    """Ground eigenpair of the symmetric 2x2 block [[H11, H12], [H12, H22]],
+    deterministic and closed-form.
 
     The eigenvector is parameterized as (c1, c2) = (cos phi, -sin phi) with
     2 phi = atan2(2 H12, H22 - H11), which keeps c1 > 0 and ties the sign of

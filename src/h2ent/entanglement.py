@@ -33,6 +33,7 @@ this module does not load it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .specfun import _is_integer, _require_positive
@@ -98,6 +99,10 @@ class AntisymW:
         if norm > NORM_TOL:
             raise ValueError(f"AntisymW requires an antisymmetric w, got |w + w^T|_F = {norm!r}")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __post_init__: checked and read-only
+        return type(self), (self.n, self.w)
+
 
 @dataclass(frozen=True, eq=False)
 class SlaterSpectrum:
@@ -126,6 +131,9 @@ class SlaterSpectrum:
             raise ValueError(f"SlaterSpectrum requires finite Slater coefficients with "
                              f"sum z_k^2 = 1/4, got {total!r} from z = {z!r}")
 
+    def __reduce__(self):
+        return type(self), (self.z, self.n)
+
 
 def make_antisym(upper_entries, n: int = 4) -> AntisymW:
     """Build a normalized AntisymW from the strict upper triangle.
@@ -152,7 +160,17 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
     iu, ju = np.triu_indices(n, k=1)
     w[iu, ju] = entries
     w[ju, iu] = -entries
-    nrm2 = float(np.sum(np.abs(w) ** 2))
+    with np.errstate(over="ignore"):
+        nrm2 = float(np.sum(np.abs(w) ** 2))
+        if not sys.float_info.min <= nrm2 < math.inf:
+            # the squares of finite entries overflowed or underflowed (a NaN
+            # or inf entry, or all zeros, leave peak out of range): divide
+            # each real and imaginary part by the largest of them first
+            parts = w.view(float)
+            peak = float(np.max(np.abs(parts)))
+            if 0.0 < peak < math.inf:
+                parts /= peak
+                nrm2 = float(np.sum(np.abs(w) ** 2))
     if nrm2 == 0.0:
         raise ValueError("all-zero coefficient matrix does not define a state")
     if not math.isfinite(nrm2):

@@ -22,6 +22,9 @@ the scalar loop returns, because a Lentz step past convergence still moves
 the last bits of the result (of 39 576 out of 40 000 x in (1, 700]), and a
 mask in place of the retiring would put extra calls on every step of the
 scalar loop, which is a large share of the time of one scalar record.
+Where e^-x underflows to 0.0 (x > 745.13) neither loop runs and E1 is 0.0:
+for many x above about 5e11 delta alternates about 1.0 without reaching it,
+and the loop would not stop.
 Every other closed form is written once, as f(s, xp) (the binary entropy as
 f(p, xp)), over MATH_XP for one point or numpy_xp() for arrays.  numpy is
 imported by the functions that build or read arrays, so that the scalar
@@ -92,6 +95,9 @@ def _e1_series(x, xp):
 
 def _e1_continued_fraction(x: float) -> float:
     # modified Lentz; numerators -k^2, denominators x+1, x+3, x+5, ...
+    scale = math.exp(-x)
+    if scale == 0.0:
+        return 0.0
     b = x + 1.0
     c = 1.0 / _CF_TINY
     d = 1.0 / b
@@ -105,7 +111,7 @@ def _e1_continued_fraction(x: float) -> float:
         delta = c * d
         h *= delta
         if delta == 1.0:
-            return h * math.exp(-x)
+            return h * scale
     raise RuntimeError(f"E1 continued fraction failed to converge for x={x!r}")
 
 
@@ -122,7 +128,8 @@ def exp_integral_e1(x: float) -> float:
     float
         E1(x); strictly positive and strictly decreasing in x up to about
         x = 701.84, where it underflows to subnormal values with fewer
-        significant digits; 0.0 from x = 738.53 on.
+        significant digits; 0.0 for every x >= 738.53, up to the largest
+        float.
 
     Raises
     ------
@@ -137,12 +144,13 @@ def exp_integral_e1(x: float) -> float:
 
 def _e1_continued_fraction_array(x):
     import numpy as np
-    b = x + 1.0
+    scale = np.exp(-x)
+    out = np.zeros_like(x)
+    live = np.flatnonzero(scale)
+    b = x[live] + 1.0
     c = 1.0 / _CF_TINY
     d = 1.0 / b
     h = d.copy()
-    out = np.empty_like(x)
-    live = np.arange(x.size)
     for a in islice(_CF_NUMERATORS, _CF_MAX_ITER - 1):
         if live.size == 0:
             break
@@ -159,7 +167,7 @@ def _e1_continued_fraction_array(x):
     if live.size:
         raise RuntimeError(
             f"E1 continued fraction failed to converge for x={float(x[live[0]])!r}")
-    return out * np.exp(-x)
+    return out * scale
 
 
 def exp_integral_e1_array(x) -> "numpy.ndarray":

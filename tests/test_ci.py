@@ -41,7 +41,6 @@ def test_h11_dissociation_tail():
 def test_block_symmetric_and_positive_coupling():
     for s in GRID:
         block = hamiltonian_block(float(s))
-        assert block.h21 == block.h12
         assert block.h12 > 0.0
         assert block.h11 < block.h22
 
@@ -93,34 +92,37 @@ def test_energy_stationary_at_solution():
 
 
 def test_decoupled_block():
-    sol = solve_block(HamiltonianBlock(s=1.0, h11=-1.0, h12=0.0, h21=0.0, h22=1.0,
-                                       variant="corrected"))
+    sol = solve_block(HamiltonianBlock(s=1.0, h11=-1.0, h12=0.0, h22=1.0))
     assert (sol.c1, sol.c2) == (1.0, 0.0)
     assert not sol.degenerate
 
 
 def test_degenerate_block_flagged():
-    sol = solve_block(HamiltonianBlock(s=1.0, h11=0.5, h12=0.0, h21=0.0, h22=0.5,
-                                       variant="corrected"))
+    sol = solve_block(HamiltonianBlock(s=1.0, h11=0.5, h12=0.0, h22=0.5))
     assert (sol.c1, sol.c2) == (1.0, 0.0)
     assert sol.degenerate
     assert sol.e_ground == 0.5
 
 
 def test_symmetric_mixing_when_diagonal_degenerate():
-    sol = solve_block(HamiltonianBlock(s=1.0, h11=0.3, h12=0.2, h21=0.2, h22=0.3,
-                                       variant="corrected"))
+    sol = solve_block(HamiltonianBlock(s=1.0, h11=0.3, h12=0.2, h22=0.3))
     assert sol.c1 ** 2 == pytest.approx(0.5, abs=1e-14)
     assert sol.c2 ** 2 == pytest.approx(0.5, abs=1e-14)
 
 
 def test_ground_eigenvector_sign_follows_coupling():
-    up = solve_block(HamiltonianBlock(s=1.0, h11=0.0, h12=0.3, h21=0.3, h22=1.0,
-                                      variant="corrected"))
-    dn = solve_block(HamiltonianBlock(s=1.0, h11=0.0, h12=-0.3, h21=-0.3, h22=1.0,
-                                      variant="corrected"))
+    up = solve_block(HamiltonianBlock(s=1.0, h11=0.0, h12=0.3, h22=1.0))
+    dn = solve_block(HamiltonianBlock(s=1.0, h11=0.0, h12=-0.3, h22=1.0))
     assert up.c2 < 0.0 < dn.c2
     assert up.c2 * 0.3 <= 0.0 and dn.c2 * (-0.3) <= 0.0
+
+
+def test_block_holds_one_coupling_and_no_label():
+    # a separate h21 was stored and never read, so a block with h21 = -5
+    # against h12 = 0.3 and an unknown variant label solved as the symmetric
+    # one; a block now holds H12 once and can only be symmetric
+    with pytest.raises(TypeError):
+        HamiltonianBlock(s=1.0, h11=0.0, h12=0.3, h21=-5.0, h22=1.0, variant="nonsense")
 
 
 # (h11, h12, h22): decoupled, degenerate, symmetric mixing, both coupling
@@ -134,11 +136,9 @@ HAND_BLOCKS = [(-1.0, 0.0, 1.0), (0.5, 0.0, 0.5), (0.3, 0.2, 0.3), (0.0, 0.3, 1.
 def test_solve_table_matches_solve_block_elementwise():
     h11, h12, h22 = (np.array(col) for col in zip(*HAND_BLOCKS))
     s = np.arange(1.0, len(HAND_BLOCKS) + 1.0)
-    table = solve_table(HamiltonianBlock(s=s, h11=h11, h12=h12, h21=h12, h22=h22,
-                                         variant="corrected"))
+    table = solve_table(HamiltonianBlock(s=s, h11=h11, h12=h12, h22=h22))
     for i, (a, b, d) in enumerate(HAND_BLOCKS):
-        sol = solve_block(HamiltonianBlock(s=s[i], h11=a, h12=b, h21=b, h22=d,
-                                           variant="corrected"))
+        sol = solve_block(HamiltonianBlock(s=s[i], h11=a, h12=b, h22=d))
         # c1 > 0 (6.1e-17 at atan2 = +-pi) and c2 takes the sign opposite to
         # H12's, signed zeros included: -1 for +0.0, +1 for -0.0
         for c1, c2 in ((table.c1[i], table.c2[i]), (sol.c1, sol.c2)):
@@ -155,7 +155,6 @@ def test_ci_table_matches_ci_solve_on_grid():
         table = ci_table(GRID, variant)
         for i, s in enumerate(GRID.tolist()):
             ref = hamiltonian_block(s, variant)
-            assert block.h12[i] == block.h21[i]
             for field in ("h11", "h12", "h22"):
                 assert getattr(block, field)[i] == pytest.approx(getattr(ref, field),
                                                                  rel=1e-12, abs=1e-13)
@@ -190,7 +189,7 @@ def test_closed_form_squares_match_the_solution_to_2_ulp(variant):
     assert _closed_form_misses(block, ci_table(grid, variant)) == 0
     for a, b, d in HAND_BLOCKS:
         if a < d:
-            block = HamiltonianBlock(s=1.0, h11=a, h12=b, h21=b, h22=d, variant=variant)
+            block = HamiltonianBlock(s=1.0, h11=a, h12=b, h22=d)
             assert _closed_form_misses(block, solve_block(block)) == 0, (a, b, d)
 
 

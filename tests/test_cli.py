@@ -153,6 +153,22 @@ def test_grid_commands_refuse_unevaluable_distances(command):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["scan", "--s-min", "0.5", "--s-max", "2e12", "--steps", "5000"],
+    ["scan", "--s-min", "0.5", "--s-max", "4e307", "--steps", "5000"],
+    ["figure", "--which", "fig1", "--s-min", "0.5", "--s-max", "2e307", "--steps", "4097"],
+])
+def test_array_grid_reaching_huge_distances_is_refused_without_traceback(command):
+    # the array path evaluates E1 at 2s and 4s, where its continued fraction
+    # did not converge for many x above 5e11 (here x = 4.29e12, 3.2e304 and
+    # 1.37e305): exit 1 with a RuntimeError traceback
+    proc = run_python(["-m", "h2ent", *command])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("h2e: error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "(ValueError: non-finite result at s = " in proc.stderr
+
+
 @pytest.mark.parametrize("steps", [5, SCALAR_ROWS + 1])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_grid_refusal_names_the_distance_on_either_path(steps, fmt, capsys):

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +57,16 @@ def test_make_antisym_accepts_a_numpy_integer_dimension():
     w = make_antisym([1.0, 0, 0, 0, 0, 1.0], np.int64(4))
     assert np.array_equal(w.w, make_antisym([1.0, 0, 0, 0, 0, 1.0], 4).w)
     assert concurrence4(w) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_make_antisym_accepts_finite_entries_whose_squares_leave_the_float_range(scale):
+    # sum |w_ij|^2 overflowed to inf (refused as non-finite) or underflowed
+    # to 0 (refused as all-zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = make_antisym([scale, 0, 0, 0, 0, scale])
+    assert w.w.tobytes() == make_antisym([1, 0, 0, 0, 0, 1]).w.tobytes()
 
 
 def test_make_antisym_rejects_non_finite_entries():
@@ -199,6 +212,27 @@ def test_slater_spectrum_keeps_a_read_only_copy():
     given[1] = 0.5
     assert not np.shares_memory(spec.z, given)
     assert von_neumann_entropy(spec) == pytest.approx(1.0, abs=1e-14)
+
+
+COPIES = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
+          "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_copies_are_checked_and_read_only(how):
+    # pickle and deepcopy gave a writable array, and copy.copy shared it
+    aw = make_antisym([1.0, 0.5j, 0, 0, -0.25, 1.0], n=4)
+    spec = slater_decompose(aw)
+    for value, field in ((aw, "w"), (spec, "z")):
+        dup = COPIES[how](value)
+        assert type(dup) is type(value) and dup.n == value.n
+        array, original = getattr(dup, field), getattr(value, field)
+        assert not array.flags.writeable and not np.shares_memory(array, original)
+        assert array.tobytes() == original.tobytes() and array.dtype == original.dtype
+    with pytest.raises(ValueError, match="read-only"):
+        COPIES[how](aw).w[0, 1] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        COPIES[how](spec).z[1] = 0.5
 
 
 def test_slater_rank_rejects_nan():

@@ -38,8 +38,7 @@ API = {
     "reduced_density": "(w: h2ent.entanglement.AntisymW) -> 'numpy.ndarray'",
     "von_neumann_entropy": "(spec: h2ent.entanglement.SlaterSpectrum) -> float",
     "E1S": None,
-    "HamiltonianBlock": "(s: float, h11: float, h12: float, h21: float, h22: float, "
-                        "variant: str) -> None",
+    "HamiltonianBlock": "(s: float, h11: float, h12: float, h22: float) -> None",
     "CiSolution": "(s: float, c1: float, c2: float, e_ground: float, e_psi1: float, "
                   "e_psi2: float, degenerate: bool = False) -> None",
     "hamiltonian_block": "(s: float, variant: str = 'corrected') -> h2ent.ci.HamiltonianBlock",

@@ -149,11 +149,11 @@ def test_scan_table_raises_no_floating_point_warnings():
 
 def test_record_at_and_scan_config_check_unit_and_variant():
     for bad in (lambda: record_at(1.0, "corrected", "joule"),
-                lambda: ScanConfig(unit="joule").validate()):
+                lambda: ScanConfig(unit="joule")):
         with pytest.raises(ValueError, match=r"unknown unit 'joule'; expected one of .*'hartree'"):
             bad()
     for bad in (lambda: record_at(1.0, "typo"),
-                lambda: ScanConfig(h22_variant="typo").validate()):
+                lambda: ScanConfig(h22_variant="typo")):
         with pytest.raises(ValueError, match="unknown h22 variant 'typo'; expected one of"):
             bad()
 
@@ -284,7 +284,7 @@ def test_renderers_refuse_rows_of_the_wrong_width(fmt):
 def test_scan_config_refuses_non_integral_steps(steps):
     # 2.5 steps gave s = 1, 1.667, 2.333, past s_max, and "3" a TypeError
     with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
-        ScanConfig(1.0, 2.0, steps).validate()
+        ScanConfig(1.0, 2.0, steps)
     with pytest.raises(ValueError, match="steps"):
         grid_rows("fig3", ScanConfig(1.0, 2.0, steps))
 
@@ -301,7 +301,6 @@ def test_grid_values_refuses_what_scan_config_refuses(steps, message):
 
 def test_scan_config_accepts_numpy_integers():
     config = ScanConfig(1.0, 2.0, np.int64(5))
-    config.validate()
     assert np.array_equal(scan_table(config), scan_table(ScanConfig(1.0, 2.0, 5)))
     assert grid_rows("scan", ScanConfig(1.0, 2.0, np.int32(5))) == grid_rows(
         "scan", ScanConfig(1.0, 2.0, 5))

@@ -103,6 +103,16 @@ def test_positive_arguments_accept_numpy_numbers(function):
     assert repr(call(np.int64(2))) == expected
 
 
+def test_e1_is_zero_without_error_up_to_the_largest_floats():
+    # past x ~ 5e11 the Lentz step alternated about 1.0 for thousands of x,
+    # and both functions raised RuntimeError; e^-x is 0.0 from x = 745.14 on
+    x = np.logspace(math.log10(738.53), math.log10(1.7e308), 30_000)
+    assert not exp_integral_e1_array(x).any()
+    assert not any(exp_integral_e1(v) for v in x.tolist())
+    assert exp_integral_e1(1.7976931348623157e308) == 0.0
+    assert exp_integral_e1_array(np.array([0.5, 2.0, 5e11, 1e300]))[2:].tolist() == [0.0, 0.0]
+
+
 def test_e1_array_matches_scalar_within_4_ulp():
     # the scalar's own arguments of both regimes, from 2e-4 to 2800 (where
     # e^-x underflows and both give 0)
