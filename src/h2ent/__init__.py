@@ -21,10 +21,9 @@ from .integrals import (IntegralSet, coulomb_j, exchange_k, hybrid_l, integral_s
 from .entanglement import (AntisymW, SlaterSpectrum, concurrence4, make_antisym,
                            reduced_density, slater_decompose, slater_rank,
                            von_neumann_entropy)
-from .ci import (E1S, CiSolution, HamiltonianBlock, block_table, ci_solve, ci_table,
-                 ground_concurrence, ground_entropy, hamiltonian_block, solve_block,
-                 solve_table, w_from_ci)
-from .scan import ScanConfig, ScanRecord, record_at, scan_records, scan_table
+from .ci import (E1S, CiSolution, HamiltonianBlock, ci_solve, ci_table, ground_concurrence,
+                 ground_entropy, hamiltonian_block, solve_block, w_from_ci)
+from .scan import ScanConfig, ScanRecord, record_at, scan_table
 
 __version__ = "0.1.0"
 
@@ -36,10 +35,10 @@ __all__ = [
     "AntisymW", "SlaterSpectrum", "make_antisym", "concurrence4",
     "slater_decompose", "slater_rank", "reduced_density", "von_neumann_entropy",
     "E1S", "HamiltonianBlock", "CiSolution", "hamiltonian_block", "solve_block",
-    "ci_solve", "block_table", "solve_table", "ci_table", "w_from_ci",
+    "ci_solve", "ci_table", "w_from_ci",
     "ground_concurrence", "ground_entropy",
     "McEstimate", "quad_one_electron", "quad_two_electron", "mc_two_electron", "oracle_e1",
-    "ScanConfig", "ScanRecord", "record_at", "scan_records", "scan_table",
+    "ScanConfig", "ScanRecord", "record_at", "scan_table",
 ]
 
 _ORACLE_NAMES = ("McEstimate", "mc_two_electron", "oracle_e1", "quad_one_electron",

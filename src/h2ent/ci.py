@@ -33,11 +33,14 @@ matrix
 whose concurrence is exactly 2 |c1 c2| and whose Slater coefficients are
 {|c1|/2, |c2|/2}.
 
-block_table, solve_table and ci_table take arrays of distances, and each
-HamiltonianBlock / CiSolution field is then an array.  The block is plain
-arithmetic, and the solve and the ground-state entropy are each one
-function of their inputs and xp, evaluated over specfun.MATH_XP for one
-point and over specfun.numpy_xp() for arrays.
+ci_table is the one array entry: it takes an array of distances, and each
+CiSolution field is then an array.  The block is plain arithmetic, and the
+solve and the ground-state entropy are each one function of their inputs
+and xp, evaluated over specfun.MATH_XP for one point and over
+specfun.numpy_xp() for arrays.  The concurrence 2 |c1 c2| is written once,
+in _ground_concurrence, for floats and arrays alike.  The functions of
+(c1, c2) refuse coefficients that are not real numbers (a bool or a
+complex included) or not normalized.
 """
 
 import math
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 from .entanglement import AntisymW
 from .integrals import integral_set, integral_table
-from .specfun import MATH_XP, _binary_entropy, numpy_xp
+from .specfun import MATH_XP, _binary_entropy, _is_real, numpy_xp
 
 __all__ = [
     "E1S",
@@ -55,8 +58,6 @@ __all__ = [
     "hamiltonian_block",
     "solve_block",
     "ci_solve",
-    "block_table",
-    "solve_table",
     "ci_table",
     "w_from_ci",
     "ground_concurrence",
@@ -127,12 +128,6 @@ def hamiltonian_block(s: float, variant: str = "corrected") -> HamiltonianBlock:
     return _block_of(integral_set(s), variant)
 
 
-def block_table(s, variant: str = "corrected") -> HamiltonianBlock:
-    """hamiltonian_block on an array of distances; fields are arrays."""
-    _check_variant(variant)
-    return _block_of(integral_table(s), variant)
-
-
 def _solve(block: HamiltonianBlock, xp) -> CiSolution:
     a, b, d = block.h11, block.h12, block.h22
     # |phi| <= fl(pi)/2 < pi/2, so c1 = cos(phi) > 0 (6.1e-17 at the edge)
@@ -159,21 +154,20 @@ def ci_solve(s: float, variant: str = "corrected") -> CiSolution:
     return solve_block(hamiltonian_block(s, variant))
 
 
-def solve_table(block: HamiltonianBlock) -> CiSolution:
-    """solve_block on a block of arrays, element by element.
+def ci_table(s, variant: str = "corrected") -> CiSolution:
+    """ci_solve on an array of distances, element by element; fields are
+    arrays.
 
     Evaluate under np.errstate to silence warnings from non-finite elements,
     which come out non-finite.
     """
-    return _solve(block, numpy_xp())
-
-
-def ci_table(s, variant: str = "corrected") -> CiSolution:
-    """ci_solve on an array of distances; fields are arrays."""
-    return solve_table(block_table(s, variant))
+    _check_variant(variant)
+    return _solve(_block_of(integral_table(s), variant), numpy_xp())
 
 
 def _check_coefficients(c1: float, c2: float, name: str) -> None:
+    if not (_is_real(c1) and _is_real(c2)):
+        raise ValueError(f"{name} requires real c1 and c2, got {c1!r} and {c2!r}")
     # written so that NaN fails it too
     if not abs(c1 * c1 + c2 * c2 - 1.0) <= _COEFF_NORM_TOL:
         raise ValueError(f"{name} requires c1^2 + c2^2 = 1, got {c1 * c1 + c2 * c2!r}")
@@ -202,6 +196,11 @@ def w_from_ci(c1: float, c2: float) -> AntisymW:
 def ground_concurrence(c1: float, c2: float) -> float:
     """Concurrence of the CI ground state: 2 |c1 c2|."""
     _check_coefficients(c1, c2, "ground_concurrence")
+    return _ground_concurrence(c1, c2)
+
+
+def _ground_concurrence(c1, c2):
+    # floats or arrays
     return 2.0 * abs(c1 * c2)
 
 

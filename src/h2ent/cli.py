@@ -9,10 +9,11 @@ reader that closed the pipe (silently).  Data goes to stdout or --out;
 diagnostics go to stderr.  Output is deterministic:
 identical arguments give byte-identical bytes.  `scan` and `figure` accept
 --parallel N (an integer >= 1) for compatibility; evaluation is always
-serial.  `point` never loads numpy, and neither do `scan` and `figure` on
-grids of at most h2ent.scan.SCALAR_ROWS points, which they evaluate point
-by point; larger grids import it where their arrays start, and the oracle,
-which needs it throughout, is imported by `verify` alone.
+serial.  `point` never loads numpy, and neither does `figure --which fig3`,
+nor do `scan` and `figure` on grids of at most h2ent.scan.SCALAR_ROWS
+points, which they evaluate point by point; larger grids import it where
+their arrays start, and the oracle, which needs it throughout, is imported
+by `verify` alone.
 """
 
 import argparse

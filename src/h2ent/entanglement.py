@@ -22,7 +22,9 @@ Each value is checked once, where it is made.  An AntisymW refuses, in
 __post_init__, an n that is not an even integer >= 2, a w not of shape
 (n, n), sum |w_ij|^2 off 1/2 by more than NORM_TOL (which NaN and inf
 fail), and |w + w^T|_F > NORM_TOL.  A SlaterSpectrum refuses sum z_k^2 off
-1/4 by more than NORM_TOL (which a non-finite z_k fails).  Both keep a
+1/4 by more than NORM_TOL (which a non-finite z_k fails), an n that is not
+an even integer >= 2, and a z that is not n/2 coefficients z_k >= 0 sorted
+descending, so that the entropy lies in [1, log2 n].  Both keep a
 read-only copy of their array, so no later write gets past the check, and
 the measures read them without a check of their own.  The concurrence is
 defined for an antisymmetric w only, and within that bound the eigenvalue
@@ -106,15 +108,17 @@ class AntisymW:
 
 @dataclass(frozen=True, eq=False)
 class SlaterSpectrum:
-    """Nonnegative Slater coefficients z_k, sorted descending; sum z_k^2 = 1/4.
+    """n/2 nonnegative Slater coefficients z_k, sorted descending, of a state
+    over n modes; sum z_k^2 = 1/4.
 
     z is a read-only float copy of the sequence given.
 
     Raises
     ------
     ValueError
-        If a coefficient is not finite, or sum z_k^2 is off 1/4 by more
-        than NORM_TOL.
+        If a coefficient is not finite, sum z_k^2 is off 1/4 by more than
+        NORM_TOL, n is not an even integer >= 2, or z is not n/2
+        coefficients >= 0 sorted descending.
     """
 
     z: "numpy.ndarray"
@@ -125,11 +129,16 @@ class SlaterSpectrum:
         z = np.array(self.z, dtype=float)
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
-        total = sum((z ** 2).tolist())
+        values = z.ravel().tolist()
+        total = sum([v * v for v in values])
         # written so that NaN fails it too: a non-finite z_k makes the sum NaN or inf
         if not abs(total - 0.25) <= NORM_TOL:
             raise ValueError(f"SlaterSpectrum requires finite Slater coefficients with "
                              f"sum z_k^2 = 1/4, got {total!r} from z = {z!r}")
+        _check_dimension(self.n)
+        if z.shape != (self.n // 2,) or values != sorted(values, reverse=True) or values[-1] < 0:
+            raise ValueError(f"SlaterSpectrum requires n/2 = {self.n // 2} coefficients "
+                             f"z_k >= 0 sorted descending, got z = {z!r}")
 
     def __reduce__(self):
         return type(self), (self.z, self.n)

@@ -13,18 +13,20 @@ solution with one helper.  A ScanConfig is checked when it is made, so
 every one in hand is valid.  grid_rows gives the rows of `h2e scan` and
 `h2e figure`: point by point through record_at for a grid of at most
 SCALAR_ROWS points, where importing numpy would cost more than the whole
-evaluation, and as the scan_table array above that.
+evaluation, and as the scan_table array above that.  fig3 is a closed form
+of c1 alone, under 1 us a row, and is a list of rows over `math` at every
+grid size.
 render_blocks formats a table or a list of rows RENDER_ROWS rows at a time,
 so the text held at once is one block long whatever the grid size.  numpy
-is imported by the functions that build or read arrays, so that record_at
-and the small grids never load it.
+is imported by the functions that build or read arrays, so that record_at,
+fig3 and the small grids never load it.
 """
 
 import json
 import math
 from dataclasses import dataclass
 
-from .ci import E1S, _check_variant, _ground_entropy, ci_solve, ci_table
+from .ci import E1S, _check_variant, _ground_concurrence, _ground_entropy, ci_solve, ci_table
 from .specfun import MATH_XP, _is_integer, _is_real, _require_positive, numpy_xp
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
     "record_at",
     "grid_values",
     "scan_table",
-    "scan_records",
     "render_csv",
     "render_json",
     "render_blocks",
@@ -68,7 +69,8 @@ RENDER_ROWS = 2048
 # larger ones with scan_table.  A fresh `h2e scan` or `h2e figure` process
 # breaks even between 4 096 and 5 000 rows: the array path pays about
 # 0.15 s to import numpy, the point path about 40 us per row
-# (BENCH_16.json, "crossover")
+# (BENCH_16.json, "crossover").  fig3, under 1 us per row, is not split
+# here
 SCALAR_ROWS = 4096
 
 
@@ -120,7 +122,8 @@ def _check_steps(steps) -> None:
 
 
 def _check_unit(unit: str) -> None:
-    if unit not in UNIT_FACTORS:
+    # a str first: an unhashable unit would raise a TypeError in the dict
+    if not isinstance(unit, str) or unit not in UNIT_FACTORS:
         raise ValueError(f"unknown unit {unit!r}; expected one of {tuple(UNIT_FACTORS)}")
 
 
@@ -134,7 +137,7 @@ def _columns(sol, factor, xp):
     # the last bit of the scalar c1_sq at about 0.1% of distances
     return ((sol.e_psi1 - 2.0 * E1S) * factor, (sol.e_psi2 - 2.0 * E1S) * factor,
             (sol.e_ground - 2.0 * E1S) * factor, sol.c1 ** 2, sol.c2 ** 2,
-            2.0 * abs(sol.c1 * sol.c2), entropy)
+            _ground_concurrence(sol.c1, sol.c2), entropy)
 
 
 def record_at(s: float, variant: str = "corrected", unit: str = "rydberg") -> ScanRecord:
@@ -195,19 +198,6 @@ def scan_table(config: ScanConfig) -> "numpy.ndarray":
         return np.column_stack((s, *_columns(sol, UNIT_FACTORS[config.unit], numpy_xp())))
 
 
-def scan_records(config: ScanConfig):
-    """All sweep rows of scan_table as ScanRecords, strictly ordered by s.
-
-    Raises
-    ------
-    ValueError
-        Naming the first grid point whose row is not finite.
-    """
-    table = scan_table(config)
-    _require_finite(SCAN_FIELDS, table)
-    return [ScanRecord(*row) for row in table.tolist()]
-
-
 def _flat_values(fields, rows):
     """(row count, every value row after row as one list) of an
     (n, len(fields)) table or a list of rows of len(fields) values each."""
@@ -265,7 +255,14 @@ def render_blocks(fields, table, fmt: str):
     Each block is one render call; the CSV header and the JSON brackets and
     separators are kept once, so the joined strings are the bytes of one
     call on the whole table.
+
+    Raises
+    ------
+    ValueError
+        If fmt is not "csv" or "json", when the first block is asked for.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
     # renderer and framing of one call's text; built per call, so that a
     # wrapper bound to a renderer's name sees it
     render, head, sep, tail = {"csv": (render_csv, ",".join(fields) + "\n", "", ""),
@@ -279,11 +276,10 @@ def render_blocks(fields, table, fmt: str):
     yield tail
 
 
-def _fig3_concurrence(c1, xp):
-    # 2 |c1| sqrt(1 - c1^2) over math or numpy; sqrt is correctly rounded, so
-    # both give the same bits
+def _fig3_concurrence(c1):
+    # the ground-state concurrence at c2 = sqrt(1 - c1^2), +0.0 at c1 = 1
     d = 1.0 - c1 * c1
-    return 2.0 * abs(c1) * xp.sqrt(xp.where(d > 0.0, d, 0.0))
+    return _ground_concurrence(c1, math.sqrt(d) if d > 0.0 else 0.0)
 
 
 def _require_finite(fields, table) -> None:
@@ -306,11 +302,11 @@ def grid_rows(which: str, config: ScanConfig):
     fig4: (s, e_ci, concurrence) energy and concurrence together
 
     A grid of at most SCALAR_ROWS points is a list of row tuples, evaluated
-    point by point by record_at (fig3: its closed form over math), and
-    numpy is not loaded.  A larger grid is an array, the columns of
-    scan_table (fig3: its closed form over numpy), which can differ from
-    record_at in a 12th printed digit where numpy's exp and math.exp differ
-    by an ulp.
+    point by point by record_at, and numpy is not loaded.  A larger grid is
+    an array, the columns of scan_table, which can differ from record_at in
+    a 12th printed digit where numpy's exp and math.exp differ by an ulp.
+    fig3 is a list of row tuples at every size, its closed form over math,
+    and never loads numpy.
 
     Raises
     ------
@@ -323,12 +319,8 @@ def grid_rows(which: str, config: ScanConfig):
     fields = SCAN_FIELDS if which == "scan" else FIGURE_FIELDS[which]
     # the points of grid_values: s_min + i h
     if which == "fig3":
-        if config.steps > SCALAR_ROWS:
-            import numpy as np
-            c1 = grid_values(0.0, 1.0, config.steps)
-            return fields, np.column_stack((c1, _fig3_concurrence(c1, numpy_xp())))
         h = 1.0 / (config.steps - 1)
-        return fields, [(i * h, _fig3_concurrence(i * h, MATH_XP)) for i in range(config.steps)]
+        return fields, [(i * h, _fig3_concurrence(i * h)) for i in range(config.steps)]
     cols = [SCAN_FIELDS.index(f) for f in fields]
     if config.steps > SCALAR_ROWS:
         table = scan_table(config)

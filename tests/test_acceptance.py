@@ -23,7 +23,7 @@ from h2ent.entanglement import (concurrence4, make_antisym, slater_decompose,
 from h2ent.integrals import coulomb_j, exchange_k, hybrid_l, one_center_m, overlap, \
     jprime, kprime
 from h2ent.oracle import mc_two_electron, oracle_e1, quad_one_electron
-from h2ent.scan import ScanConfig, scan_records
+from h2ent.scan import ScanConfig, ScanRecord, scan_table
 from h2ent.specfun import binary_entropy, exp_integral_e1
 
 S_GRID = (0.5, 1.0, 1.67, 2.0, 4.0, 8.0)
@@ -89,7 +89,7 @@ def test_c02_equilibrium_concurrence(equilibrium):
 
 
 def test_c03_large_distance_entanglement():
-    records = scan_records(ScanConfig())
+    records = [ScanRecord(*row) for row in scan_table(ScanConfig()).tolist()]
     tail = [r for r in records if r.s >= 8.0]
     worst = min(r.concurrence for r in tail)
     ok = len(tail) > 0 and worst >= 0.98

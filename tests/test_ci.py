@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import h2ent.ci
-from h2ent.ci import (E1S, HamiltonianBlock, block_table, ci_solve, ci_table,
-                      ground_concurrence, ground_entropy, hamiltonian_block, solve_block,
-                      solve_table, w_from_ci)
+from h2ent.ci import (E1S, HamiltonianBlock, _block_of, ci_solve, ci_table, ground_concurrence,
+                      ground_entropy, hamiltonian_block, solve_block, w_from_ci)
 from h2ent.entanglement import concurrence4, slater_decompose, von_neumann_entropy
-from h2ent.integrals import integral_set
+from h2ent.integrals import integral_set, integral_table
 from h2ent.specfun import MATH_XP, binary_entropy, numpy_xp
 from test_scalar_golden import DISTANCES
 
@@ -136,7 +135,8 @@ HAND_BLOCKS = [(-1.0, 0.0, 1.0), (0.5, 0.0, 0.5), (0.3, 0.2, 0.3), (0.0, 0.3, 1.
 def test_solve_table_matches_solve_block_elementwise():
     h11, h12, h22 = (np.array(col) for col in zip(*HAND_BLOCKS))
     s = np.arange(1.0, len(HAND_BLOCKS) + 1.0)
-    table = solve_table(HamiltonianBlock(s=s, h11=h11, h12=h12, h22=h22))
+    # the array solve of ci_table, on blocks no distance gives
+    table = h2ent.ci._solve(HamiltonianBlock(s=s, h11=h11, h12=h12, h22=h22), numpy_xp())
     for i, (a, b, d) in enumerate(HAND_BLOCKS):
         sol = solve_block(HamiltonianBlock(s=s[i], h11=a, h12=b, h22=d))
         # c1 > 0 (6.1e-17 at atan2 = +-pi) and c2 takes the sign opposite to
@@ -151,7 +151,7 @@ def test_solve_table_matches_solve_block_elementwise():
 
 def test_ci_table_matches_ci_solve_on_grid():
     for variant in ("corrected", "printed"):
-        block = block_table(GRID, variant)
+        block = _block_of(integral_table(GRID), variant)
         table = ci_table(GRID, variant)
         for i, s in enumerate(GRID.tolist()):
             ref = hamiltonian_block(s, variant)
@@ -162,8 +162,8 @@ def test_ci_table_matches_ci_solve_on_grid():
             assert table.c1[i] == pytest.approx(sol.c1, abs=1e-12)
             assert table.c2[i] == pytest.approx(sol.c2, abs=1e-12)
             assert table.e_ground[i] == pytest.approx(sol.e_ground, rel=1e-12, abs=1e-13)
-    with pytest.raises(ValueError):
-        block_table(GRID, "typo")
+    with pytest.raises(ValueError, match="unknown h22 variant 'typo'"):
+        ci_table(GRID, "typo")
 
 
 def _closed_form_misses(block, sol):
@@ -184,7 +184,7 @@ def test_closed_form_squares_match_the_solution_to_2_ulp(variant):
         block = hamiltonian_block(s, variant)
         assert _closed_form_misses(block, solve_block(block)) == 0, s
     grid = np.linspace(0.305, 19.995, 50_000)
-    block = block_table(grid, variant)
+    block = _block_of(integral_table(grid), variant)
     assert np.all(block.h11 < block.h22)
     assert _closed_form_misses(block, ci_table(grid, variant)) == 0
     for a, b, d in HAND_BLOCKS:
@@ -281,6 +281,27 @@ def test_ground_measures_reject_unnormalized():
         ground_concurrence(1.0, 1.0)
     with pytest.raises(ValueError):
         ground_entropy(0.2, 0.2)
+
+
+COEFFICIENT_FUNCTIONS = {"w_from_ci": w_from_ci, "ground_concurrence": ground_concurrence,
+                         "ground_entropy": ground_entropy}
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_FUNCTIONS))
+@pytest.mark.parametrize("c1, c2", [(True, False), (0.6 + 0j, 0.8), (np.complex128(0.6), 0.8),
+                                    (0.6, np.complex64(0.8)), (np.True_, 0.0), ("0.6", 0.8)])
+def test_coefficient_functions_refuse_non_real_coefficients(name, c1, c2):
+    # True, False made a state; 0.6+0j gave a concurrence of 0.96, numpy's
+    # complex an entropy of (1.94+0j), and w_from_ci a bare TypeError
+    with pytest.raises(ValueError, match=rf"^{name} requires real c1 and c2, got "):
+        COEFFICIENT_FUNCTIONS[name](c1, c2)
+
+
+def test_coefficient_functions_take_numpy_floats():
+    c1, c2 = np.float64(0.6), np.float64(0.8)
+    assert ground_concurrence(c1, c2) == ground_concurrence(0.6, 0.8)
+    assert ground_entropy(c1, c2) == ground_entropy(0.6, 0.8)
+    assert np.array_equal(w_from_ci(c1, c2).w, w_from_ci(0.6, 0.8).w)
 
 
 def test_ground_concurrence_rejects_nan():

@@ -596,8 +596,8 @@ def test_point_and_scan_do_not_import_scipy():
 def test_point_does_not_import_numpy():
     # numpy loads where arrays start: not for the package, the CLI or point,
     # accepted or refused, nor for scan and figure grids of at most
-    # SCALAR_ROWS points, the defaults among them; the oracle's names
-    # resolve on first access
+    # SCALAR_ROWS points, the defaults among them, nor for fig3 at any size;
+    # the oracle's names resolve on first access
     code = ("import sys, io, contextlib\n"
             "import h2ent\n"
             "assert 'numpy' not in sys.modules, 'import h2ent'\n"
@@ -615,7 +615,8 @@ def test_point_does_not_import_numpy():
             "for argv in (['scan', *grid, '400'], ['scan', *grid, '400', '--format', 'json'],\n"
             "             ['figure', '--which', 'fig1'], ['figure', '--which', 'fig2'],\n"
             "             ['figure', '--which', 'fig3'], ['figure', '--which', 'fig4'],\n"
-            "             ['scan', *grid, str(SCALAR_ROWS)]):\n"
+            "             ['scan', *grid, str(SCALAR_ROWS)],\n"
+            "             ['figure', '--which', 'fig3', '--steps', '5000']):\n"
             "    run(argv)\n"
             "    assert 'numpy' not in sys.modules, argv\n"
             "run(['scan', '--s-min', '600', '--s-max', '800', '--steps', '5'], 2)\n"

@@ -235,6 +235,22 @@ def test_copies_are_checked_and_read_only(how):
         COPIES[how](spec).z[1] = 0.5
 
 
+@pytest.mark.parametrize("z, n, message", [
+    ([math.sqrt(1.0 / 12.0)] * 3, 4, "n/2 = 2 coefficients"),   # entropy 2.585 > log2 4
+    ([-0.5], 2, "n/2 = 1 coefficients"),                        # Slater rank 0
+    ([0.0, 0.5], 4, "sorted descending"),
+    ([[0.5, 0.0]], 4, "n/2 = 2 coefficients"),
+    (0.5, 2, "n/2 = 1 coefficients"),
+    ([0.5], "x", "single-particle dimension"),
+    ([0.5], 3, "single-particle dimension"),
+    ([0.5, 0.0], True, "single-particle dimension"),
+])
+def test_slater_spectrum_refuses_what_it_does_not_hold(z, n, message):
+    # a z of the wrong shape raised a TypeError; the others were accepted
+    with pytest.raises(ValueError, match=message):
+        SlaterSpectrum(z=z, n=n)
+
+
 def test_slater_rank_rejects_nan():
     with pytest.raises(ValueError, match="^SlaterSpectrum requires finite Slater coefficients"):
         slater_rank(SlaterSpectrum(z=np.array([np.nan, np.nan]), n=4))

@@ -1,10 +1,13 @@
-"""Every name in h2ent.__all__, and the signature of each public callable.
+"""Every name in h2ent.__all__ and in each h2ent module's __all__, and the
+signature of each public callable.
 
 A refactor must not drop a public name or change a signature by accident;
 a deliberate change edits API below in the same change.
 """
 
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -44,8 +47,6 @@ API = {
     "hamiltonian_block": "(s: float, variant: str = 'corrected') -> h2ent.ci.HamiltonianBlock",
     "solve_block": "(block: h2ent.ci.HamiltonianBlock) -> h2ent.ci.CiSolution",
     "ci_solve": "(s: float, variant: str = 'corrected') -> h2ent.ci.CiSolution",
-    "block_table": "(s, variant: str = 'corrected') -> h2ent.ci.HamiltonianBlock",
-    "solve_table": "(block: h2ent.ci.HamiltonianBlock) -> h2ent.ci.CiSolution",
     "ci_table": "(s, variant: str = 'corrected') -> h2ent.ci.CiSolution",
     "w_from_ci": "(c1: float, c2: float) -> h2ent.entanglement.AntisymW",
     "ground_concurrence": "(c1: float, c2: float) -> float",
@@ -62,7 +63,6 @@ API = {
                   "c2_sq: float, concurrence: float, entropy: float) -> None",
     "record_at": "(s: float, variant: str = 'corrected', unit: str = 'rydberg') "
                  "-> h2ent.scan.ScanRecord",
-    "scan_records": "(config: h2ent.scan.ScanConfig)",
     "scan_table": "(config: h2ent.scan.ScanConfig) -> 'numpy.ndarray'",
 }
 
@@ -81,3 +81,17 @@ def test_public_signature(name):
         assert not callable(obj)
     else:
         assert str(inspect.signature(obj)) == API[name]
+
+
+# every module of the package but __main__, which runs the CLI when imported
+MODULES = sorted(m.name for m in pkgutil.iter_modules(h2ent.__path__) if m.name != "__main__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_all_names_exist(module):
+    # a function removed from a module must leave its __all__ too
+    mod = importlib.import_module(f"h2ent.{module}")
+    names = mod.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(mod, name), name

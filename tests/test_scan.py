@@ -14,9 +14,8 @@ import pytest
 import h2ent.scan as scan
 import mpref
 from h2ent.cli import main
-from h2ent.scan import (SCALAR_ROWS, SCAN_FIELDS, ScanConfig, ScanRecord, grid_rows,
-                        grid_values, record_at, render_blocks, render_csv, render_json,
-                        scan_records, scan_table)
+from h2ent.scan import (SCALAR_ROWS, SCAN_FIELDS, ScanConfig, grid_rows, grid_values,
+                        record_at, render_blocks, render_csv, render_json, scan_table)
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFAULT_GRID = ["--s-min", "0.5", "--s-max", "10", "--steps", "400"]
@@ -61,7 +60,8 @@ def test_cli_default_grids_match_golden_bytes(name, capsys):
 
 
 def array_rows(which, config):
-    """(fields, array) of grid_rows' array path, whatever the grid size."""
+    """(fields, array) of grid_rows' array path, whatever the grid size; fig3
+    has no array path and gives its list of rows."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scan, "SCALAR_ROWS", 1)
         return grid_rows(which, config)
@@ -148,10 +148,12 @@ def test_scan_table_raises_no_floating_point_warnings():
 
 
 def test_record_at_and_scan_config_check_unit_and_variant():
-    for bad in (lambda: record_at(1.0, "corrected", "joule"),
-                lambda: ScanConfig(unit="joule")):
-        with pytest.raises(ValueError, match=r"unknown unit 'joule'; expected one of .*'hartree'"):
-            bad()
+    # an unhashable unit raised TypeError: unhashable type
+    for unit in ("joule", [], {}):
+        message = rf"^unknown unit {re.escape(repr(unit))}; expected one of .*'hartree'"
+        for bad in (lambda: record_at(1.0, "corrected", unit), lambda: ScanConfig(unit=unit)):
+            with pytest.raises(ValueError, match=message):
+                bad()
     for bad in (lambda: record_at(1.0, "typo"),
                 lambda: ScanConfig(h22_variant="typo")):
         with pytest.raises(ValueError, match="unknown h22 variant 'typo'; expected one of"):
@@ -162,21 +164,6 @@ def test_record_at_stores_float_distance():
     rec = record_at(2)
     assert type(rec.s) is float and rec == record_at(2.0)
     assert rec.s == scan_table(ScanConfig(2.0, 3.0, 2))[0, 0]
-
-
-def test_scan_records_wrap_the_table():
-    config = ScanConfig(0.5, 10.0, 25, "hartree", "printed")
-    records = scan_records(config)
-    assert all(type(r) is ScanRecord for r in records)
-    assert [r.values() for r in records] == [tuple(row) for row in scan_table(config).tolist()]
-
-
-def test_scan_records_refuse_non_finite_rows():
-    # record_at and `h2e scan` refuse s = 700; scan_records gave NaN records
-    config = ScanConfig(600.0, 800.0, 5)
-    with pytest.raises(ValueError, match=r"^non-finite result at s = 700\.0$"):
-        scan_records(config)
-    assert not np.isfinite(scan_table(config)[-2:]).all()
 
 
 def test_ci_minimum_is_first_of_the_table_minimum():
@@ -210,6 +197,13 @@ def test_render_blocks_join_to_one_render(fmt, rows, monkeypatch):
     assert calls == ([0] if rows == 0 else [min(4, rows - i) for i in range(0, rows, 4)])
     if rows == 0 and fmt == "json":
         assert whole == "[]\n"
+
+
+@pytest.mark.parametrize("fmt", ["xml", "CSV", None, []])
+def test_render_blocks_refuse_unknown_formats(fmt):
+    # "xml" raised a bare KeyError, and [] a TypeError
+    with pytest.raises(ValueError, match=r"^unknown format .*; expected 'csv' or 'json'$"):
+        "".join(render_blocks(SCAN_FIELDS, [], fmt))
 
 
 @pytest.mark.parametrize("fmt", sorted(RENDERERS))
@@ -316,16 +310,17 @@ def test_grid_rows_choose_the_path_by_grid_size(which, monkeypatch):
     fields, rows = grid_rows(which, small)
     assert type(rows) is list and all(type(row) is tuple for row in rows)
     assert fields == (SCAN_FIELDS if which == "scan" else scan.FIGURE_FIELDS[which])
-    # the points of the array path, and for fig3 its bits
-    assert [row[0] for row in rows] == array_rows(which, small)[1][:, 0].tolist()
-    if which == "fig3":
-        assert rows == [tuple(row) for row in array_rows(which, small)[1].tolist()]
     large = ScanConfig(0.5, 10.0, 10, "hartree", "printed")
     fields, table = grid_rows(which, large)
+    if which == "fig3":  # a list of rows at every size, on the points of [0, 1]
+        assert type(table) is list and all(type(row) is tuple for row in table)
+        assert [row[0] for row in table] == grid_values(0.0, 1.0, 10).tolist()
+        return
+    # the points of the array path, and above the threshold the columns of scan_table
+    assert [row[0] for row in rows] == array_rows(which, small)[1][:, 0].tolist()
     assert type(table) is np.ndarray
-    if which != "fig3":  # the columns of scan_table
-        cols = [SCAN_FIELDS.index(f) for f in fields]
-        assert np.array_equal(table, scan_table(large)[:, cols])
+    cols = [SCAN_FIELDS.index(f) for f in fields]
+    assert np.array_equal(table, scan_table(large)[:, cols])
 
 
 @pytest.mark.parametrize("variant", ["corrected", "printed"])
@@ -345,14 +340,18 @@ def test_grid_points_are_those_of_grid_values():
         assert [s_min + i * h for i in range(steps)] == grid_values(s_min, s_max, steps).tolist()
 
 
-@pytest.mark.parametrize("steps", [2, 7, scan.FIG3_DEFAULT_STEPS, SCALAR_ROWS])
+@pytest.mark.parametrize("steps", [2, 7, scan.FIG3_DEFAULT_STEPS, SCALAR_ROWS, SCALAR_ROWS + 1])
 def test_fig3_rows_have_the_bits_of_figure_table(steps):
-    # the figure's table: the array of grid_rows above SCALAR_ROWS
-    config = ScanConfig(steps=steps)
-    fields, rows = grid_rows("fig3", config)
-    array_fields, table = array_rows("fig3", config)
-    assert fields == array_fields == ("c1", "concurrence")
-    assert rows == [tuple(row) for row in table.tolist()]
+    # the figure's table: its closed form 2 |c1| sqrt(1 - c1^2) over numpy on
+    # the points of grid_values; sqrt is correctly rounded, so math gives the
+    # same bits
+    fields, rows = grid_rows("fig3", ScanConfig(steps=steps))
+    c1 = grid_values(0.0, 1.0, steps)
+    d = 1.0 - c1 * c1
+    table = np.column_stack((c1, 2.0 * np.abs(c1) * np.sqrt(np.where(d > 0.0, d, 0.0))))
+    assert fields == ("c1", "concurrence")
+    assert type(rows) is list and rows == [tuple(row) for row in table.tolist()]
+    assert rows[-1] == (1.0, 0.0) and math.copysign(1.0, rows[-1][1]) == 1.0
 
 
 def test_grid_rows_refuse_unknown_grid():
