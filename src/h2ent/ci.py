@@ -40,7 +40,8 @@ and xp, evaluated over specfun.MATH_XP for one point and over
 specfun.numpy_xp() for arrays.  The concurrence 2 |c1 c2| is written once,
 in _ground_concurrence, for floats and arrays alike.  The functions of
 (c1, c2) refuse coefficients that are not real numbers (a bool or a
-complex included) or not normalized.
+complex included) or not normalized in float64, and compute on float(c1)
+and float(c2).
 """
 
 import math
@@ -165,12 +166,16 @@ def ci_table(s, variant: str = "corrected") -> CiSolution:
     return _solve(_block_of(integral_table(s), variant), numpy_xp())
 
 
-def _check_coefficients(c1: float, c2: float, name: str) -> None:
+def _check_coefficients(c1: float, c2: float, name: str) -> tuple:
+    """(float(c1), float(c2)), normalized in float64; a narrower float, such
+    as numpy's float32, is checked and then used at float64 precision."""
     if not (_is_real(c1) and _is_real(c2)):
         raise ValueError(f"{name} requires real c1 and c2, got {c1!r} and {c2!r}")
+    c1, c2 = float(c1), float(c2)
     # written so that NaN fails it too
     if not abs(c1 * c1 + c2 * c2 - 1.0) <= _COEFF_NORM_TOL:
         raise ValueError(f"{name} requires c1^2 + c2^2 = 1, got {c1 * c1 + c2 * c2!r}")
+    return c1, c2
 
 
 def w_from_ci(c1: float, c2: float) -> AntisymW:
@@ -179,7 +184,7 @@ def w_from_ci(c1: float, c2: float) -> AntisymW:
     Basis order |a up>, |a down>, |b up>, |b down>; the spin-triplet entries
     w13, w24 vanish because the ground state is a singlet.
     """
-    _check_coefficients(c1, c2, "w_from_ci")
+    c1, c2 = _check_coefficients(c1, c2, "w_from_ci")
     plus = (c1 + c2) / 4.0
     minus = (c1 - c2) / 4.0
     # exact normalization guard against accumulated input round-off.  The sum
@@ -195,7 +200,7 @@ def w_from_ci(c1: float, c2: float) -> AntisymW:
 
 def ground_concurrence(c1: float, c2: float) -> float:
     """Concurrence of the CI ground state: 2 |c1 c2|."""
-    _check_coefficients(c1, c2, "ground_concurrence")
+    c1, c2 = _check_coefficients(c1, c2, "ground_concurrence")
     return _ground_concurrence(c1, c2)
 
 
@@ -211,5 +216,5 @@ def _ground_entropy(c1, xp):
 
 def ground_entropy(c1: float, c2: float) -> float:
     """Single-particle entropy of the CI ground state: 1 + H2(c1^2)."""
-    _check_coefficients(c1, c2, "ground_entropy")
+    c1, _ = _check_coefficients(c1, c2, "ground_entropy")
     return _ground_entropy(c1, MATH_XP)

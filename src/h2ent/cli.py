@@ -5,7 +5,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 input the float64 closed forms cannot evaluate, a distance below
 MIN_DISTANCE, where they lose digits, or a grid or sample count too large
 for the memory), 3 I/O error: a failed write to stdout or --out, or a
-reader that closed the pipe (silently).  Data goes to stdout or --out;
+reader that closed the pipe (silently).  Every refusal past argparse is a
+ValueError (a MemoryError for a size too large), raised where the input is
+checked or evaluated and caught once, in main, which prints one
+`h2e: error:` line and returns 2.  Data goes to stdout or --out;
 diagnostics go to stderr.  Output is deterministic:
 identical arguments give byte-identical bytes.  `scan` and `figure` accept
 --parallel N (an integer >= 1) for compatibility; evaluation is always
@@ -127,10 +130,14 @@ def _check_distance(option: str, s: float) -> None:
                          f"lose digits, got {s!r}")
 
 
-def _refuse_evaluation(exc: Exception) -> int:
-    _err(f"input outside the domain the closed forms can evaluate in float64 "
-         f"({type(exc).__name__}: {exc})")
-    return EXIT_USAGE
+def _evaluate(fn, *args):
+    """fn(*args), with an ArithmeticError or ValueError it raises re-raised as
+    a ValueError that names the input as one float64 cannot evaluate."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        raise ValueError(f"input outside the domain the closed forms can evaluate in "
+                         f"float64 ({type(exc).__name__}: {exc})") from exc
 
 
 def _discard_stdout() -> None:
@@ -170,39 +177,24 @@ def _write_output(chunks, out_path) -> int:
 
 
 def _cmd_point(args) -> int:
-    try:
-        if not (math.isfinite(args.s) and args.s > 0.0):
-            raise ValueError(f"--s must be finite and > 0, got {args.s!r}")
-        _check_distance("--s", args.s)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    try:
-        rec = record_at(args.s, args.h22, args.unit)
-    except ValueError as exc:
-        return _refuse_evaluation(exc)
-    lines = [f"unit = {args.unit}", f"h22 = {args.h22}"]
-    for name in SCAN_FIELDS:
-        lines.append(f"{name} = {format(getattr(rec, name), '.12g')}")
+    if not (math.isfinite(args.s) and args.s > 0.0):
+        raise ValueError(f"--s must be finite and > 0, got {args.s!r}")
+    _check_distance("--s", args.s)
+    rec = _evaluate(record_at, args.s, args.h22, args.unit)
+    lines = [f"unit = {args.unit}", f"h22 = {args.h22}"] + [
+        f"{name} = {format(getattr(rec, name), '.12g')}" for name in SCAN_FIELDS]
     return _write_output(["\n".join(lines) + "\n"], None)
 
 
 def _cmd_grid(args, which: str, steps: int, fmt: str) -> int:
     """`scan` (which = "scan") or `figure --which WHICH`."""
-    try:
-        if which == "fig3":  # a grid of c1, not of distances
-            config = ScanConfig(steps=steps)
-        else:
-            config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=steps,
-                                unit=args.unit, h22_variant=args.h22)
-            _check_distance("--s-min", config.s_min)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    try:
-        fields, rows = grid_rows(which, config)
-    except (ArithmeticError, ValueError) as exc:
-        return _refuse_evaluation(exc)
+    if which == "fig3":  # a grid of c1, not of distances
+        config = ScanConfig(steps=steps)
+    else:
+        config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=steps,
+                            unit=args.unit, h22_variant=args.h22)
+        _check_distance("--s-min", config.s_min)
+    fields, rows = _evaluate(grid_rows, which, config)
     return _write_output(render_blocks(fields, rows, fmt), args.out)
 
 
@@ -217,107 +209,98 @@ def _ci_minimum(variant: str):
     return float(e_ci[best]), float(table[best, 0])
 
 
-def _cmd_verify(args) -> int:
+def _verify_lines(args):
+    """The verify report, one (text, ok) pair per line: ok is the verdict of
+    the check the line reports, which the report appends as PASS or FAIL,
+    or None for a line printed as it is."""
     import numpy as np
 
     from .oracle import (MIN_SAMPLES, mc_two_electron, oracle_e1, quad_one_electron,
                          quad_two_electron)
 
     if args.seed < 0:
-        _err(f"--seed must be >= 0, got {args.seed}")
-        return EXIT_USAGE
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.samples < MIN_SAMPLES:
-        _err(f"--samples must be >= {MIN_SAMPLES}, got {args.samples}")
-        return EXIT_USAGE
+        raise ValueError(f"--samples must be >= {MIN_SAMPLES}, got {args.samples}")
 
-    lines = []
-    failures = 0
+    yield "h2e verify: closed forms vs independent numerical oracle", None
+    yield f"backend: numpy   seed: {args.seed}   samples: {args.samples}", None
+    yield f"h22 variant under test: {args.h22}", None
+    yield "", None
 
-    def emit(text=""):
-        lines.append(text)
-
-    def check(ok: bool) -> str:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        return "PASS" if ok else "FAIL"
-
-    emit("h2e verify: closed forms vs independent numerical oracle")
-    emit(f"backend: numpy   seed: {args.seed}   samples: {args.samples}")
-    emit(f"h22 variant under test: {args.h22}")
-    emit()
-
-    emit(f"[1] one-electron integrals, double-exponential quadrature (tol {QUAD_TOL:.0e})")
+    yield f"[1] one-electron integrals, double-exponential quadrature (tol {QUAD_TOL:.0e})", None
     for s in VERIFY_S_GRID:
         for kind, label in (("overlap", "S "), ("jprime", "j'"), ("kprime", "k'")):
             closed = _CLOSED[kind](s)
             orc = quad_one_electron(kind, s, tol=QUAD_TOL)
             diff = abs(closed - orc)
-            emit(f"  s={s:<5g} {label} closed={closed: .12e}  oracle={orc: .12e}"
-                 f"  |diff|={diff:.2e}  {check(diff <= QUAD_TOL)}")
-    emit()
+            yield (f"  s={s:<5g} {label} closed={closed: .12e}  oracle={orc: .12e}"
+                   f"  |diff|={diff:.2e}", diff <= QUAD_TOL)
+    yield "", None
 
     # the two-electron checks of [2] and [3]: (label, kind, s), m first
     checks = [("m (any s) ", "m", 1.0)] + [
         (f"s={s:<5g} {kind}", kind, s) for s in VERIFY_S_GRID for kind in ("j", "k", "l")]
 
-    emit(f"[2] two-electron integrals, importance-sampled Monte Carlo "
-         f"(3 sigma, sigma <= {MC_SIGMA_MAX:.0e})")
+    yield (f"[2] two-electron integrals, importance-sampled Monte Carlo "
+           f"(3 sigma, sigma <= {MC_SIGMA_MAX:.0e})"), None
     for offset, (label, kind, s) in enumerate(checks):
         closed = _CLOSED[kind](s)
         est = mc_two_electron(kind, s, args.samples, args.seed + offset)
         diff = abs(closed - est.mean)
-        ok = diff <= 3.0 * est.stderr and est.stderr <= MC_SIGMA_MAX
-        emit(f"  {label}  closed={closed: .9f}  mc={est.mean: .9f}"
-             f"  sigma={est.stderr:.2e}  |diff|/sigma={diff / est.stderr:5.2f}  {check(ok)}")
-    emit()
+        yield (f"  {label}  closed={closed: .9f}  mc={est.mean: .9f}"
+               f"  sigma={est.stderr:.2e}  |diff|/sigma={diff / est.stderr:5.2f}",
+               diff <= 3.0 * est.stderr and est.stderr <= MC_SIGMA_MAX)
+    yield "", None
 
-    emit(f"[3] two-electron integrals, double-exponential quadrature "
-         f"(relative tol {TWO_ELECTRON_REL_TOL:.0e})")
+    yield (f"[3] two-electron integrals, double-exponential quadrature "
+           f"(relative tol {TWO_ELECTRON_REL_TOL:.0e})"), None
     for label, kind, s in checks:
         closed = _CLOSED[kind](s)
         orc = quad_two_electron(kind, s, tol=TWO_ELECTRON_REL_TOL)
         rel = abs(closed - orc) / orc
-        emit(f"  {label}  closed={closed: .12e}  quad={orc: .12e}"
-             f"  |diff|/quad={rel:.2e}  {check(rel <= TWO_ELECTRON_REL_TOL)}")
-    emit()
+        yield (f"  {label}  closed={closed: .12e}  quad={orc: .12e}"
+               f"  |diff|/quad={rel:.2e}", rel <= TWO_ELECTRON_REL_TOL)
+    yield "", None
 
-    emit(f"[4] exponential integral E1, series/CF vs quadrature "
-         f"(50 log-spaced points in [1e-3, 50], rel tol {E1_REL_TOL:.0e})")
+    yield (f"[4] exponential integral E1, series/CF vs quadrature "
+           f"(50 log-spaced points in [1e-3, 50], rel tol {E1_REL_TOL:.0e})"), None
     worst = 0.0
-    for x in np.logspace(-3.0, math.log10(50.0), 50):
-        ref = oracle_e1(float(x))
-        worst = max(worst, abs(exp_integral_e1(float(x)) - ref) / ref)
-    emit(f"  max relative difference = {worst:.3e}  {check(worst <= E1_REL_TOL)}")
-    emit()
+    for x in np.logspace(-3.0, math.log10(50.0), 50).tolist():
+        ref = oracle_e1(x)
+        worst = max(worst, abs(exp_integral_e1(x) - ref) / ref)
+    yield f"  max relative difference = {worst:.3e}", worst <= E1_REL_TOL
+    yield "", None
 
-    emit(f"[5] CI minimum arbitration (rydberg, grid s in [1.0, 2.5], "
-         f"target {ARBITRATION_TARGET} +- {ARBITRATION_TOL})")
+    yield (f"[5] CI minimum arbitration (rydberg, grid s in [1.0, 2.5], "
+           f"target {ARBITRATION_TARGET} +- {ARBITRATION_TOL})"), None
     for variant in H22_VARIANTS:
         e_min, s_min = _ci_minimum(variant)
         dev = abs(e_min - ARBITRATION_TARGET)
-        within = dev <= ARBITRATION_TOL
-        if variant == args.h22:
-            status = check(within)
-        else:
-            status = "ok  " if within else "FLAG"
-        emit(f"  {variant:<9} min={e_min: .6f} at s={s_min:.4f}  |dev|={dev:.4f}  {status}")
-    emit()
+        ok = dev <= ARBITRATION_TOL
+        text = f"  {variant:<9} min={e_min: .6f} at s={s_min:.4f}  |dev|={dev:.4f}"
+        if variant != args.h22:  # reported, not counted
+            text, ok = f"{text}  {'ok  ' if ok else 'FLAG'}", None
+        yield text, ok
+    yield "", None
 
-    verdict = "PASS" if failures == 0 else f"FAIL ({failures} checks)"
-    emit(f"result: {verdict}")
+
+def _cmd_verify(args) -> int:
+    report = list(_verify_lines(args))
+    failures = sum(ok is not None and not ok for _, ok in report)
+    lines = [text if ok is None else f"{text}  {'PASS' if ok else 'FAIL'}" for text, ok in report]
+    lines.append(f"result: {'PASS' if failures == 0 else f'FAIL ({failures} checks)'}")
     return (_write_output(["\n".join(lines) + "\n"], None)
             or (EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     # argparse prints --help and --version itself and ignores a failed write;
     # they are written from this buffer instead, so that one exits 3 too
     printed = io.StringIO()
     try:
         with contextlib.redirect_stdout(printed):
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return _write_output([printed.getvalue()], None) or int(exc.code or 0)
     try:
@@ -326,13 +309,15 @@ def main(argv=None) -> int:
         if args.command == "scan":
             return _cmd_grid(args, "scan", args.steps, args.format)
         if args.command == "figure":
-            steps = args.steps
-            if steps is None:
-                steps = FIG3_DEFAULT_STEPS if args.which == "fig3" else ScanConfig.steps
+            default = FIG3_DEFAULT_STEPS if args.which == "fig3" else ScanConfig.steps
+            steps = default if args.steps is None else args.steps
             return _cmd_grid(args, args.which, steps, "csv")
         return _cmd_verify(args)
     except MemoryError as exc:
         _err(f"input too large for the available memory ({exc})")
+        return EXIT_USAGE
+    except ValueError as exc:
+        _err(str(exc))
         return EXIT_USAGE
 
 

@@ -116,8 +116,8 @@ class SlaterSpectrum:
     Raises
     ------
     ValueError
-        If a coefficient is not finite, sum z_k^2 is off 1/4 by more than
-        NORM_TOL, n is not an even integer >= 2, or z is not n/2
+        If a coefficient is complex or not finite, sum z_k^2 is off 1/4 by
+        more than NORM_TOL, n is not an even integer >= 2, or z is not n/2
         coefficients >= 0 sorted descending.
     """
 
@@ -126,7 +126,12 @@ class SlaterSpectrum:
 
     def __post_init__(self) -> None:
         import numpy as np
-        z = np.array(self.z, dtype=float)
+        z = np.array(self.z)
+        # refused, not cast: a cast drops the imaginary part of an array
+        # after a warning, and raises a bare TypeError for Python complexes
+        if z.dtype.kind == "c":
+            raise ValueError(f"SlaterSpectrum requires real Slater coefficients, got z = {z!r}")
+        z = z.astype(float, copy=False)
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
         values = z.ravel().tolist()

@@ -218,7 +218,7 @@ def _binary_entropy(p, xp):
 # scalar E1 is looked up when called, so that a profiler's wrapper on
 # specfun.exp_integral_e1 also counts the calls made through MATH_XP
 MATH_XP = SimpleNamespace(
-    exp=math.exp, expm1=math.expm1, log=math.log, log2=math.log2, sqrt=math.sqrt,
+    exp=math.exp, expm1=math.expm1, log=math.log, log2=math.log2,
     hypot=math.hypot, atan2=math.atan2, cos=math.cos, sin=math.sin,
     clip=lambda x, lo, hi: min(max(x, lo), hi), where=lambda cond, x, y: x if cond else y,
     any=bool, e1=lambda x: exp_integral_e1(x))
@@ -230,6 +230,6 @@ def numpy_xp() -> SimpleNamespace:
     first call; bound by their numpy < 2 names (np.arctan2, not np.atan2)."""
     import numpy as np
     return SimpleNamespace(
-        exp=np.exp, expm1=np.expm1, log=np.log, log2=np.log2, sqrt=np.sqrt,
+        exp=np.exp, expm1=np.expm1, log=np.log, log2=np.log2,
         hypot=np.hypot, atan2=np.arctan2, cos=np.cos, sin=np.sin,
         clip=np.clip, where=np.where, any=np.any, e1=exp_integral_e1_array)

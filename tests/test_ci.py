@@ -304,6 +304,16 @@ def test_coefficient_functions_take_numpy_floats():
     assert np.array_equal(w_from_ci(c1, c2).w, w_from_ci(0.6, 0.8).w)
 
 
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_FUNCTIONS))
+@pytest.mark.parametrize("c1, c2", [(0.6, np.float32(0.8)), (np.float32(0.6), np.float32(0.8))])
+def test_coefficient_functions_check_float32_at_float64_precision(name, c1, c2):
+    # float32(0.8) is 0.800000011920929: c1^2 + c2^2 is 1 + 1.9e-8 in float64,
+    # as for ground_concurrence(0.6, 0.80000001), but rounds to 1 in float32,
+    # which gave a concurrence of float32(0.96000004)
+    with pytest.raises(ValueError, match=rf"^{name} requires c1\^2 \+ c2\^2 = 1, got "):
+        COEFFICIENT_FUNCTIONS[name](c1, c2)
+
+
 def test_ground_concurrence_rejects_nan():
     with pytest.raises(ValueError, match="ground_concurrence"):
         ground_concurrence(math.nan, math.nan)

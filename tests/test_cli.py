@@ -494,6 +494,20 @@ def test_verify_rejects_bad_arguments(capsys):
     assert run_cli(["verify", "--samples", "10"], capsys)[0] == 2
 
 
+def test_verify_result_counts_the_failed_lines(capsys, monkeypatch):
+    # an offset S fails its six quadrature lines in [1], an offset k its
+    # Monte Carlo and quadrature lines in [2] and [3]
+    for kind in ("overlap", "k"):
+        monkeypatch.setitem(h2ent.cli._CLOSED, kind,
+                            lambda s, closed=h2ent.cli._CLOSED[kind]: closed(s) + 0.01)
+    code, out, _ = run_cli(["verify", "--samples", "10000"], capsys)
+    failed = [ln for ln in out.splitlines() if ln.endswith("FAIL")]
+    assert len([ln for ln in failed if " S  closed=" in ln]) == 6
+    assert len([ln for ln in failed if " k  closed=" in ln]) == 12
+    assert out.endswith(f"\nresult: FAIL ({len(failed)} checks)\n")
+    assert code == 1
+
+
 # ---------------------------------------------------------------- write failures
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

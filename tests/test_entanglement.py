@@ -244,9 +244,12 @@ def test_copies_are_checked_and_read_only(how):
     ([0.5], "x", "single-particle dimension"),
     ([0.5], 3, "single-particle dimension"),
     ([0.5, 0.0], True, "single-particle dimension"),
+    ([0.5 + 0j, 0.0], 4, "real Slater coefficients"),
+    (np.array([0.5 + 1e-3j, 0.0]), 4, "real Slater coefficients"),
 ])
 def test_slater_spectrum_refuses_what_it_does_not_hold(z, n, message):
-    # a z of the wrong shape raised a TypeError; the others were accepted
+    # a z of the wrong shape and a list of complex raised a TypeError; the
+    # others were accepted, the complex array with its imaginary part dropped
     with pytest.raises(ValueError, match=message):
         SlaterSpectrum(z=z, n=n)
 
