@@ -42,14 +42,20 @@ in _ground_concurrence, for floats and arrays alike.  The functions of
 (c1, c2) refuse coefficients that are not real numbers (a bool or a
 complex included) or not normalized in float64, and compute on float(c1)
 and float(c2).
+
+ci_solve checks the variant and s first, then memoizes its result per
+checked (float(s), variant) in a bounded cache, so that record_at and a
+caller asking for the same distance's state share one solve.  Neither
+hamiltonian_block, integral_set nor ci_table is cached.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .entanglement import AntisymW
 from .integrals import integral_set, integral_table
-from .specfun import MATH_XP, _binary_entropy, _is_real, numpy_xp
+from .specfun import MATH_XP, _binary_entropy, _is_real, _require_positive, numpy_xp
 
 __all__ = [
     "E1S",
@@ -151,7 +157,19 @@ def solve_block(block: HamiltonianBlock) -> CiSolution:
 
 
 def ci_solve(s: float, variant: str = "corrected") -> CiSolution:
-    """Variational two-configuration ground state at reduced distance s."""
+    """Variational two-configuration ground state at reduced distance s.
+
+    The variant and then s are checked first, as hamiltonian_block checks
+    them; the solution is then memoized per checked (float(s), variant), so
+    a distance asked for again is not solved again.
+    """
+    _check_variant(variant)
+    return _ci_solve(_require_positive(s, "integral_set"), variant)
+
+
+# one shared CiSolution per key is safe, as it is frozen; a raise is not stored
+@functools.lru_cache(maxsize=64)
+def _ci_solve(s: float, variant: str) -> CiSolution:
     return solve_block(hamiltonian_block(s, variant))
 
 

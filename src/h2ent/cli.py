@@ -73,6 +73,25 @@ def _positive_int(text: str) -> int:
     return n
 
 
+# argparse reads a value such as -1e-3, which its negative-number pattern
+# (no exponent) does not match, as an option; OPT=VALUE it reads as a value
+_FLOAT_OPTIONS = ("--s", "--s-min", "--s-max")
+
+
+def _join_negative_floats(argv) -> list:
+    """argv with each `OPT VALUE` pair of a _FLOAT_OPTIONS option written
+    `OPT=VALUE` when VALUE starts with '-' and parses as a float."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _FLOAT_OPTIONS and arg.startswith("-"):
+            with contextlib.suppress(ValueError):
+                float(arg)
+                joined[-1] += "=" + arg
+                continue
+        joined.append(arg)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="h2e",
@@ -300,7 +319,8 @@ def main(argv=None) -> int:
     printed = io.StringIO()
     try:
         with contextlib.redirect_stdout(printed):
-            args = build_parser().parse_args(argv)
+            args = build_parser().parse_args(
+                _join_negative_floats(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return _write_output([printed.getvalue()], None) or int(exc.code or 0)
     try:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+import h2ent.ci
 from h2ent.entanglement import AntisymW, make_antisym
+
+
+@pytest.fixture(autouse=True)
+def empty_ci_memo():
+    """Each test starts with no memoized ci_solve result, so one that patches
+    a layer under ci_solve never reads a solution made before the patch."""
+    h2ent.ci._ci_solve.cache_clear()
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from h2ent.ci import (E1S, HamiltonianBlock, _block_of, ci_solve, ci_table, grou
                       ground_entropy, hamiltonian_block, solve_block, w_from_ci)
 from h2ent.entanglement import concurrence4, slater_decompose, von_neumann_entropy
 from h2ent.integrals import integral_set, integral_table
+from h2ent.scan import record_at
 from h2ent.specfun import MATH_XP, binary_entropy, numpy_xp
 from test_scalar_golden import DISTANCES
 
@@ -59,6 +61,62 @@ def test_block_variants_differ_as_documented():
 def test_block_rejects_unknown_variant():
     with pytest.raises(ValueError):
         hamiltonian_block(1.0, "bogus")
+
+
+def solution_bits(sol):
+    """Every CiSolution field with its type, floats by their exact bits."""
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in dataclasses.astuple(sol)]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((True,), "integral_set requires finite s > 0, got True"),
+    ((np.bool_(True),), f"integral_set requires finite s > 0, got {np.bool_(True)!r}"),
+    ((float("nan"),), "integral_set requires finite s > 0, got nan"),
+    ((-0.0,), "integral_set requires finite s > 0, got -0.0"),
+    ((1.0, "Corrected"), "unknown h22 variant 'Corrected'; expected one of "
+                         "('corrected', 'printed')"),
+    ((1.0, ["corrected"]), "unknown h22 variant ['corrected']; expected one of "
+                           "('corrected', 'printed')"),
+])
+def test_ci_solve_refuses_before_the_memo_looks_up(args, message):
+    # True == 1.0 and hash(True) == hash(1.0): a memo keyed on the raw
+    # argument would hand ci_solve(True) the solution at s = 1.0
+    ci_solve(1.0)
+    with pytest.raises(ValueError) as info:
+        ci_solve(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("s, same", [(np.float64(1.7), 1.7), (2, 2.0)])
+def test_ci_solve_gives_the_same_bits_for_the_same_float(s, same):
+    first = solution_bits(ci_solve(s))
+    assert solution_bits(ci_solve(same)) == first
+    h2ent.ci._ci_solve.cache_clear()
+    assert solution_bits(ci_solve(same)) == first
+    assert first == solution_bits(solve_block(hamiltonian_block(same)))
+
+
+def test_ci_solve_solves_each_distance_once(monkeypatch):
+    # a profiler wraps integral_set in the ci namespace and E1 in specfun's,
+    # as this test does; E1 is called twice per integral_set at these s
+    import h2ent.specfun as specfun
+
+    calls, e1_calls = [], []
+    integrals, e1 = h2ent.ci.integral_set, specfun.exp_integral_e1
+    monkeypatch.setattr(h2ent.ci, "integral_set", lambda s: calls.append(s) or integrals(s))
+    monkeypatch.setattr(specfun, "exp_integral_e1", lambda x: e1_calls.append(x) or e1(x))
+    record_at(1.3)
+    ci_solve(1.3)
+    record_at(1.3, unit="ev")
+    assert (calls, len(e1_calls)) == ([1.3], 2)
+    ci_solve(1.4)
+    ci_solve(1.3, "printed")
+    assert (calls, len(e1_calls)) == ([1.3, 1.4, 1.3], 6)
+    # the layers under the memo are not memoized themselves
+    hamiltonian_block(1.3)
+    hamiltonian_block(1.3)
+    assert (calls, len(e1_calls)) == ([1.3, 1.4, 1.3, 1.3, 1.3], 10)
 
 
 def test_ci_solution_normalized_and_variational():

@@ -84,6 +84,22 @@ def test_point_rejects_nonpositive_distance(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command, option, message", [
+    (["point"], "--s", "--s must be finite and > 0"),
+    (["scan", "--s-max", "1", "--steps", "3"], "--s-min", "s_min must be finite and > 0"),
+    (["scan", "--s-min", "1", "--steps", "3"], "--s-max", "s_max must be finite and > 0"),
+    (["figure", "--which", "fig1"], "--s-min", "s_min must be finite and > 0"),
+])
+@pytest.mark.parametrize("value", ["-1e-3", "-1E5", "-.5e1", "-1.", "-inf"])
+def test_negative_float_options_refuse_alike_in_either_form(command, option, message, value,
+                                                            capsys):
+    # argparse's negative-number pattern has no exponent: `--s -1e-3` gave
+    # its usage text, `argument --s: expected one argument`
+    joined = run_cli(command + [f"{option}={value}"], capsys)
+    assert joined == (2, "", f"h2e: error: {message}, got {float(value)!r}\n")
+    assert run_cli(command + [option, value], capsys) == joined
+
+
 def test_point_rejects_unknown_unit(capsys):
     code, _, _ = run_cli(["point", "--s", "1.0", "--unit", "joule"], capsys)
     assert code == 2

@@ -41,9 +41,11 @@ def assert_refused(code, out, err):
 @PROPERTY
 @hypothesis.given(s=FLOATS, options=OPTIONS)
 def test_point_prints_finite_fields_or_refuses(s, options):
-    # --s=<repr>, since argparse reads `--s -1e-3` as a missing value
+    # `--s -1e-3` and `--s=-1e-3` alike, although argparse alone reads the
+    # first as a missing value
     unit, variant = options
-    code, out, err = run_main(["point", f"--s={s!r}", "--unit", unit, "--h22", variant])
+    code, out, err = run_main(["point", "--s", repr(s), "--unit", unit, "--h22", variant])
+    assert run_main(["point", f"--s={s!r}", "--unit", unit, "--h22", variant]) == (code, out, err)
     if code != 0:
         assert_refused(code, out, err)
         return
@@ -60,7 +62,7 @@ def test_point_prints_finite_fields_or_refuses(s, options):
                   options=OPTIONS)
 def test_scan_prints_finite_rows_or_refuses(bounds, steps, fmt, options):
     (s_min, s_max), (unit, variant) = bounds, options
-    code, out, err = run_main(["scan", f"--s-min={s_min!r}", f"--s-max={s_max!r}",
+    code, out, err = run_main(["scan", "--s-min", repr(s_min), "--s-max", repr(s_max),
                                "--steps", str(steps), "--format", fmt,
                                "--unit", unit, "--h22", variant])
     if code != 0:
