@@ -3,8 +3,8 @@ data and oracle verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 input the float64 closed forms cannot evaluate, a distance below
-MIN_DISTANCE, where they lose digits, or a grid or sample count too large
-for the memory), 3 I/O error: a failed write to stdout or --out, or a
+MIN_DISTANCE, where they lose digits, or a grid (--steps) too large for
+the memory), 3 I/O error: a failed write to stdout or --out, or a
 reader that closed the pipe (silently).  Every refusal past argparse is a
 ValueError (a MemoryError for a size too large), raised where the input is
 checked or evaluated and caught once, in main, which prints one
@@ -16,7 +16,8 @@ serial.  `point` never loads numpy, and neither does `figure --which fig3`,
 nor do `scan` and `figure` on grids of at most h2ent.scan.SCALAR_ROWS
 points, which they evaluate point by point; larger grids import it where
 their arrays start, and the oracle, which needs it throughout, is imported
-by `verify` alone.
+by `verify` alone.  The `verify` report is a function of --h22 alone: its
+Monte Carlo estimates use the fixed MC_SEED and MC_SAMPLES.
 """
 
 import argparse
@@ -46,6 +47,8 @@ QUAD_TOL = 1e-8
 TWO_ELECTRON_REL_TOL = 1e-12
 E1_REL_TOL = 1e-12
 MC_SIGMA_MAX = 1e-3
+MC_SEED = 42          # the seed of the first Monte Carlo estimate; estimate i uses MC_SEED + i
+MC_SAMPLES = 500_000  # samples per estimate: enough that each sigma is within MC_SIGMA_MAX
 ARBITRATION_TARGET = -0.237   # rydberg, relative to 2 E1s
 ARBITRATION_TOL = 0.010
 # smallest reduced distance point/scan/figure accept: the H22 closed form
@@ -78,12 +81,19 @@ def _positive_int(text: str) -> int:
 _FLOAT_OPTIONS = ("--s", "--s-min", "--s-max")
 
 
+def _is_float_option(arg: str) -> bool:
+    """Whether arg names a _FLOAT_OPTIONS option in full or by a prefix that
+    argparse may take for one (`--s-mi`); `--` and `--st` (of --steps) do
+    not.  argparse still refuses an ambiguous prefix such as `--s-m`."""
+    return arg.startswith("--s") and any(opt.startswith(arg) for opt in _FLOAT_OPTIONS)
+
+
 def _join_negative_floats(argv) -> list:
     """argv with each `OPT VALUE` pair of a _FLOAT_OPTIONS option written
     `OPT=VALUE` when VALUE starts with '-' and parses as a float."""
     joined = []
     for arg in argv:
-        if joined and joined[-1] in _FLOAT_OPTIONS and arg.startswith("-"):
+        if joined and _is_float_option(joined[-1]) and arg.startswith("-"):
             with contextlib.suppress(ValueError):
                 float(arg)
                 joined[-1] += "=" + arg
@@ -136,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sp)
 
     sp = sub.add_parser("verify", help="check closed forms against the numerical oracle")
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--samples", type=int, default=500_000,
-                    help="Monte Carlo samples per integral (default: 500000)")
     add_common(sp, with_unit=False)
     return p
 
@@ -228,23 +235,17 @@ def _ci_minimum(variant: str):
     return float(e_ci[best]), float(table[best, 0])
 
 
-def _verify_lines(args):
-    """The verify report, one (text, ok) pair per line: ok is the verdict of
-    the check the line reports, which the report appends as PASS or FAIL,
-    or None for a line printed as it is."""
+def _verify_lines(h22: str):
+    """The verify report for the variant under test, one (text, ok) pair per
+    line: ok is the verdict of the check the line reports, which the report
+    appends as PASS or FAIL, or None for a line printed as it is."""
     import numpy as np
 
-    from .oracle import (MIN_SAMPLES, mc_two_electron, oracle_e1, quad_one_electron,
-                         quad_two_electron)
-
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if args.samples < MIN_SAMPLES:
-        raise ValueError(f"--samples must be >= {MIN_SAMPLES}, got {args.samples}")
+    from .oracle import mc_two_electron, oracle_e1, quad_one_electron, quad_two_electron
 
     yield "h2e verify: closed forms vs independent numerical oracle", None
-    yield f"backend: numpy   seed: {args.seed}   samples: {args.samples}", None
-    yield f"h22 variant under test: {args.h22}", None
+    yield f"backend: numpy   seed: {MC_SEED}   samples: {MC_SAMPLES}", None
+    yield f"h22 variant under test: {h22}", None
     yield "", None
 
     yield f"[1] one-electron integrals, double-exponential quadrature (tol {QUAD_TOL:.0e})", None
@@ -265,7 +266,7 @@ def _verify_lines(args):
            f"(3 sigma, sigma <= {MC_SIGMA_MAX:.0e})"), None
     for offset, (label, kind, s) in enumerate(checks):
         closed = _CLOSED[kind](s)
-        est = mc_two_electron(kind, s, args.samples, args.seed + offset)
+        est = mc_two_electron(kind, s, MC_SAMPLES, MC_SEED + offset)
         diff = abs(closed - est.mean)
         yield (f"  {label}  closed={closed: .9f}  mc={est.mean: .9f}"
                f"  sigma={est.stderr:.2e}  |diff|/sigma={diff / est.stderr:5.2f}",
@@ -298,14 +299,14 @@ def _verify_lines(args):
         dev = abs(e_min - ARBITRATION_TARGET)
         ok = dev <= ARBITRATION_TOL
         text = f"  {variant:<9} min={e_min: .6f} at s={s_min:.4f}  |dev|={dev:.4f}"
-        if variant != args.h22:  # reported, not counted
+        if variant != h22:  # reported, not counted
             text, ok = f"{text}  {'ok  ' if ok else 'FLAG'}", None
         yield text, ok
     yield "", None
 
 
-def _cmd_verify(args) -> int:
-    report = list(_verify_lines(args))
+def _cmd_verify(h22: str) -> int:
+    report = list(_verify_lines(h22))
     failures = sum(ok is not None and not ok for _, ok in report)
     lines = [text if ok is None else f"{text}  {'PASS' if ok else 'FAIL'}" for text, ok in report]
     lines.append(f"result: {'PASS' if failures == 0 else f'FAIL ({failures} checks)'}")
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
             default = FIG3_DEFAULT_STEPS if args.which == "fig3" else ScanConfig.steps
             steps = default if args.steps is None else args.steps
             return _cmd_grid(args, args.which, steps, "csv")
-        return _cmd_verify(args)
+        return _cmd_verify(args.h22)
     except MemoryError as exc:
         _err(f"input too large for the available memory ({exc})")
         return EXIT_USAGE

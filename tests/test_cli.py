@@ -89,6 +89,10 @@ def test_point_rejects_nonpositive_distance(capsys):
     (["scan", "--s-max", "1", "--steps", "3"], "--s-min", "s_min must be finite and > 0"),
     (["scan", "--s-min", "1", "--steps", "3"], "--s-max", "s_max must be finite and > 0"),
     (["figure", "--which", "fig1"], "--s-min", "s_min must be finite and > 0"),
+    # abbreviations argparse accepts
+    (["scan", "--s-max", "1", "--steps", "3"], "--s-mi", "s_min must be finite and > 0"),
+    (["scan", "--s-min", "1", "--steps", "3"], "--s-ma", "s_max must be finite and > 0"),
+    (["figure", "--which", "fig1"], "--s-mi", "s_min must be finite and > 0"),
 ])
 @pytest.mark.parametrize("value", ["-1e-3", "-1E5", "-.5e1", "-1.", "-inf"])
 def test_negative_float_options_refuse_alike_in_either_form(command, option, message, value,
@@ -98,6 +102,14 @@ def test_negative_float_options_refuse_alike_in_either_form(command, option, mes
     joined = run_cli(command + [f"{option}={value}"], capsys)
     assert joined == (2, "", f"h2e: error: {message}, got {float(value)!r}\n")
     assert run_cli(command + [option, value], capsys) == joined
+
+
+def test_steps_abbreviation_takes_no_negative_float(capsys):
+    # only --s, --s-min and --s-max (or their abbreviations) are joined
+    # with a negative float that follows; an int option is left to argparse
+    code, out, err = run_cli(["scan", "--s-min", "1", "--s-max", "2", "--st", "-1e-3"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("h2e scan: error: argument --steps: expected one argument\n")
 
 
 def test_point_rejects_unknown_unit(capsys):
@@ -444,45 +456,65 @@ def test_figure_rejects_unknown_name(capsys):
 
 # ---------------------------------------------------------------- verify
 
-def test_verify_report_is_deterministic(capsys):
-    args = ["verify", "--samples", "20000", "--seed", "7"]
-    code1, out1, _ = run_cli(args, capsys)
-    code2, out2, _ = run_cli(args, capsys)
+# `python -c` source that runs `h2e verify` at 10 000 Monte Carlo samples, a
+# fiftieth of MC_SAMPLES; sigma then exceeds MC_SIGMA_MAX, so the report
+# fails its Monte Carlo checks
+SMALL_VERIFY = ("import sys, h2ent.cli\n"
+                "h2ent.cli.MC_SAMPLES = 10_000\n"
+                "sys.exit(h2ent.cli.main(['verify']))\n")
+
+
+def small_verify(monkeypatch, samples, seed=h2ent.cli.MC_SEED):
+    """Make `verify` run at `samples` Monte Carlo samples from `seed` for the
+    rest of the test, in less time than at MC_SAMPLES."""
+    monkeypatch.setattr(h2ent.cli, "MC_SAMPLES", samples)
+    monkeypatch.setattr(h2ent.cli, "MC_SEED", seed)
+
+
+def test_verify_report_is_deterministic(capsys, monkeypatch):
+    small_verify(monkeypatch, 20_000, seed=7)
+    code1, out1, _ = run_cli(["verify"], capsys)
+    code2, out2, _ = run_cli(["verify"], capsys)
     assert code1 == code2
     assert out1 == out2
     assert "result:" in out1
 
 
-def test_verify_flags_printed_variant(capsys):
-    code, out, _ = run_cli(["verify", "--samples", "20000", "--seed", "7"], capsys)
+def test_verify_flags_printed_variant(capsys, monkeypatch):
+    small_verify(monkeypatch, 20_000, seed=7)
+    code, out, _ = run_cli(["verify"], capsys)
     printed_row = next(ln for ln in out.split("\n") if ln.strip().startswith("printed"))
     corrected_row = next(ln for ln in out.split("\n") if ln.strip().startswith("corrected"))
     assert "FLAG" in printed_row
     assert "PASS" in corrected_row
 
 
-def test_verify_selected_printed_variant_fails(capsys):
-    code, out, _ = run_cli(["verify", "--samples", "20000", "--seed", "7",
-                            "--h22", "printed"], capsys)
+def test_verify_selected_printed_variant_fails(capsys, monkeypatch):
+    small_verify(monkeypatch, 20_000, seed=7)
+    code, out, _ = run_cli(["verify", "--h22", "printed"], capsys)
     assert code == 1
     printed_row = next(ln for ln in out.split("\n") if ln.strip().startswith("printed"))
     assert "FAIL" in printed_row
 
 
-def test_verify_output_is_pinned(capsys):
+def test_verify_output_is_pinned(capsys, monkeypatch):
     # 100003 samples span several oracle blocks plus a short tail; the file
     # holds the report of the one-array implementation, byte for byte.  At
     # this sample count sigma exceeds 1e-3, so the MC checks FAIL (exit 1).
     golden = pathlib.Path(__file__).parent / "data" / "verify_samples100003_seed7.txt"
-    code, out, _ = run_cli(["verify", "--samples", "100003", "--seed", "7"], capsys)
+    small_verify(monkeypatch, 100_003, seed=7)
+    code, out, _ = run_cli(["verify"], capsys)
     assert out == golden.read_text(encoding="utf-8")
     assert code == 1
 
 
 def test_verify_passes_at_its_defaults(capsys):
-    # the default sample count is sized so that every Monte Carlo sigma is
-    # within MC_SIGMA_MAX and every check of the default report passes
+    # MC_SAMPLES is sized so that every Monte Carlo sigma is within
+    # MC_SIGMA_MAX and every check of the default report passes; the file
+    # holds that report, byte for byte
+    golden = pathlib.Path(__file__).parent / "data" / "verify_default.txt"
     code, out, _ = run_cli(["verify"], capsys)
+    assert out == golden.read_text(encoding="utf-8")
     assert code == 0
     assert out.endswith("result: PASS\n")
     sigmas = [float(word[len("sigma="):]) for word in out.split() if word.startswith("sigma=")]
@@ -494,7 +526,6 @@ def test_verify_passes_at_its_defaults(capsys):
 @pytest.mark.parametrize("command", [
     ["scan", "--s-min", "1", "--s-max", "2", "--steps", "1000000000000000"],
     ["figure", "--which", "fig1", "--steps", "1000000000000000"],
-    ["verify", "--samples", "1000000000000000"],
 ])
 def test_commands_refuse_sizes_beyond_memory(command, capsys):
     # 1e15 elements (8 PB): numpy refuses the array before it allocates any
@@ -506,8 +537,12 @@ def test_commands_refuse_sizes_beyond_memory(command, capsys):
 
 
 def test_verify_rejects_bad_arguments(capsys):
-    assert run_cli(["verify", "--seed", "-3"], capsys)[0] == 2
-    assert run_cli(["verify", "--samples", "10"], capsys)[0] == 2
+    # the Monte Carlo seed and sample count are constants, not options
+    for option, value in (("--seed", "7"), ("--seed", "-3"), ("--samples", "10"),
+                          ("--samples", "1000000000000000")):
+        code, out, err = run_cli(["verify", option, value], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"h2e: error: unrecognized arguments: {option} {value}\n")
 
 
 def test_verify_result_counts_the_failed_lines(capsys, monkeypatch):
@@ -516,7 +551,8 @@ def test_verify_result_counts_the_failed_lines(capsys, monkeypatch):
     for kind in ("overlap", "k"):
         monkeypatch.setitem(h2ent.cli._CLOSED, kind,
                             lambda s, closed=h2ent.cli._CLOSED[kind]: closed(s) + 0.01)
-    code, out, _ = run_cli(["verify", "--samples", "10000"], capsys)
+    small_verify(monkeypatch, 10_000)
+    code, out, _ = run_cli(["verify"], capsys)
     failed = [ln for ln in out.splitlines() if ln.endswith("FAIL")]
     assert len([ln for ln in failed if " S  closed=" in ln]) == 6
     assert len([ln for ln in failed if " k  closed=" in ln]) == 12
@@ -529,20 +565,20 @@ def test_verify_result_counts_the_failed_lines(capsys, monkeypatch):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", [
-    ["point", "--s", "1.5"],
-    ["scan", "--s-min", "0.5", "--s-max", "10", "--steps", "400"],
-    ["figure", "--which", "fig1"],
-    ["verify", "--samples", "10000"],
-    ["--version"],
-    ["--help"],
-], ids=lambda command: command[0])
+    ["-m", "h2ent", "point", "--s", "1.5"],
+    ["-m", "h2ent", "scan", "--s-min", "0.5", "--s-max", "10", "--steps", "400"],
+    ["-m", "h2ent", "figure", "--which", "fig1"],
+    ["-c", SMALL_VERIFY],
+    ["-m", "h2ent", "--version"],
+    ["-m", "h2ent", "--help"],
+], ids=["point", "scan", "figure", "verify", "--version", "--help"])
 def test_stdout_write_failure_exits_3(command, unbuffered):
     # a full device fails the write (unbuffered stdout) or the flush
     # (buffered); either way one error line and exit 3, not a traceback or
     # a second failure in the interpreter's final flush.  argparse ignores a
     # failed write of --help and --version; they exited 0 unbuffered
     with open("/dev/full", "w") as full:
-        proc = run_python(["-m", "h2ent", *command], stdout=full,
+        proc = run_python(command, stdout=full,
                           env={"PYTHONUNBUFFERED": unbuffered})
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("h2e: error: cannot write stdout: ")
@@ -615,8 +651,9 @@ def test_point_and_scan_do_not_import_scipy():
             "import threading\n"
             "assert 'concurrent.futures' not in sys.modules, 'point/scan'\n"
             "assert threading.active_count() == 1, threading.enumerate()\n"
+            "h2ent.cli.MC_SAMPLES = 10_000\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    h2ent.cli.main(['verify', '--samples', '10000'])\n"
+            "    h2ent.cli.main(['verify'])\n"
             "assert loaded() == [], 'verify'\n"
             "assert built() == [1, 1, 1], 'verify'\n")
     proc = run_python(["-c", code])
@@ -653,9 +690,10 @@ def test_point_does_not_import_numpy():
             "assert 'numpy' not in sys.modules, 'refused scan'\n"
             "run(['scan', *grid, str(SCALAR_ROWS + 1)])\n"
             "assert 'numpy' in sys.modules, 'scan past SCALAR_ROWS'\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
             # 10 000 samples miss the MC sigma bound, which fails a check
-            "    assert h2ent.cli.main(['verify', '--samples', '10000']) in (0, 1)\n"
+            "h2ent.cli.MC_SAMPLES = 10_000\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert h2ent.cli.main(['verify']) in (0, 1)\n"
             "from h2ent import mc_two_electron\n"
             "assert mc_two_electron is h2ent.oracle.mc_two_electron\n"
             "assert all(hasattr(h2ent, name) for name in h2ent.__all__)\n")

@@ -111,7 +111,7 @@ QUADRATURE_FAULTS = {
 
 def _pinned_mc_lines():
     """(kind, s, mean, sigma) of the 19 Monte Carlo lines of the pinned
-    `h2e verify --seed 7 --samples 100003` report."""
+    `h2e verify` report at MC_SEED 7 and MC_SAMPLES 100003."""
     text = (pathlib.Path(__file__).parent / "data" / "verify_samples100003_seed7.txt").read_text()
     pattern = r"^  (?:m \(any s\)|s=(\S+) +([jkl])) +closed=.* mc= *(\S+) +sigma=(\S+) "
     return [(kind or "m", float(s or 1.0), float(mc), float(sigma))
