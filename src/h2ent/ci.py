@@ -47,6 +47,11 @@ ci_solve checks the variant and s first, then memoizes its result per
 checked (float(s), variant) in a bounded cache, so that record_at and a
 caller asking for the same distance's state share one solve.  Neither
 hamiltonian_block, integral_set nor ci_table is cached.
+
+hamiltonian_block and ci_solve return finite fields or raise a ValueError
+that names s: integral_set's refusals past s = 697.79 and below 1.7e-309,
+and hamiltonian_block's own where 1 - S^2 rounds to 0, below about 3.4e-8.
+The array path, ci_table, gives non-finite elements there instead.
 """
 
 import functools
@@ -130,9 +135,18 @@ def _block_of(q, variant: str) -> HamiltonianBlock:
 
 
 def hamiltonian_block(s: float, variant: str = "corrected") -> HamiltonianBlock:
-    """CI matrix elements H11, H12 = H21, H22 at reduced distance s."""
+    """CI matrix elements H11, H12 = H21, H22 at reduced distance s.
+
+    Raises a ValueError naming s where integral_set refuses it, or where
+    1 - S^2 rounds to 0 (s up to about 3.4e-8) and the block would divide
+    by it.
+    """
     _check_variant(variant)
-    return _block_of(integral_set(s), variant)
+    q = integral_set(s)
+    try:
+        return _block_of(q, variant)
+    except ZeroDivisionError:
+        raise ValueError(f"hamiltonian_block divides by 1 - S^2 = 0 at s = {q.s!r}") from None
 
 
 def _solve(block: HamiltonianBlock, xp) -> CiSolution:

@@ -43,6 +43,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 VERIFY_S_GRID = (0.5, 1.0, 1.67, 2.0, 4.0, 8.0)
+# the verdicts of the report's checks; the oracle keeps its own convergence
+# bounds (h2ent.oracle.ONE_ELECTRON_TOL, ...)
 QUAD_TOL = 1e-8
 TWO_ELECTRON_REL_TOL = 1e-12
 E1_REL_TOL = 1e-12
@@ -252,7 +254,7 @@ def _verify_lines(h22: str):
     for s in VERIFY_S_GRID:
         for kind, label in (("overlap", "S "), ("jprime", "j'"), ("kprime", "k'")):
             closed = _CLOSED[kind](s)
-            orc = quad_one_electron(kind, s, tol=QUAD_TOL)
+            orc = quad_one_electron(kind, s)
             diff = abs(closed - orc)
             yield (f"  s={s:<5g} {label} closed={closed: .12e}  oracle={orc: .12e}"
                    f"  |diff|={diff:.2e}", diff <= QUAD_TOL)
@@ -277,7 +279,7 @@ def _verify_lines(h22: str):
            f"(relative tol {TWO_ELECTRON_REL_TOL:.0e})"), None
     for label, kind, s in checks:
         closed = _CLOSED[kind](s)
-        orc = quad_two_electron(kind, s, tol=TWO_ELECTRON_REL_TOL)
+        orc = quad_two_electron(kind, s)
         rel = abs(closed - orc) / orc
         yield (f"  {label}  closed={closed: .12e}  quad={orc: .12e}"
                f"  |diff|/quad={rel:.2e}", rel <= TWO_ELECTRON_REL_TOL)

@@ -19,7 +19,12 @@ oracle (see the oracle module and `h2e verify`).
 
 Each closed form is written once, as a function of (s, xp): the public
 scalar functions check their input and evaluate it over specfun.MATH_XP,
-integral_table evaluates the same function over specfun.numpy_xp().
+integral_table evaluates the same function over specfun.numpy_xp().  A
+scalar value that leaves float64 is refused by one helper, _finite, with a
+ValueError naming the function and s: S' and k from s = 697.79, where S'
+overflows; S and j from s = 1.34e154, where s^2 does; l below
+s = 1.7e-309, where 5/(16 s) does.  integral_table returns such elements
+non-finite instead.
 """
 
 import math
@@ -100,9 +105,27 @@ def _exchange_series(s):
     return _ONE_CENTER + ss * (-0.25 + ss * (_K4 + s * (_K5 + s * (_K6 + s * _K7))))
 
 
+def _exchange_k(s, xp):
+    # one point: the series below EXCHANGE_SMALL_S calls no E1
+    return _exchange_series(s) if s < EXCHANGE_SMALL_S else _exchange_closed(s, xp)
+
+
+def _finite(form, s, who: str) -> float:
+    """form(s, MATH_XP), or a ValueError naming who and s where float64
+    cannot hold it: an overflow to inf, a NaN where an inf meets a 0, or
+    math.exp's own OverflowError above s = 709.78."""
+    try:
+        value = form(s, MATH_XP)
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise ValueError(f"{who} overflows float64 at s = {s!r}")
+
+
 def overlap(s: float) -> float:
     """Overlap S(s) = (1 + s + s^2/3) e^-s of two 1s orbitals; S(0) = 1."""
-    return _overlap(_require_positive(s, "overlap", or_zero=True), MATH_XP)
+    return _finite(_overlap, _require_positive(s, "overlap", or_zero=True), "overlap")
 
 
 def s_prime(s: float) -> float:
@@ -110,14 +133,7 @@ def s_prime(s: float) -> float:
 
     It grows like s^2 e^s / 3 and leaves float64 near s = 697, where a
     ValueError is raised instead of returning inf."""
-    s = _require_positive(s, "s_prime", or_zero=True)
-    try:
-        value = _s_prime(s, MATH_XP)
-    except OverflowError:  # math.exp itself, above s = 709.78
-        value = math.inf
-    if value == math.inf:
-        raise ValueError(f"s_prime overflows float64 at s = {s!r}")
-    return value
+    return _finite(_s_prime, _require_positive(s, "s_prime", or_zero=True), "s_prime")
 
 
 def jprime(s: float) -> float:
@@ -140,7 +156,7 @@ def coulomb_j(s: float) -> float:
     j(s) = 1/s - (2/s + 11/4 + 3s/2 + s^2/3) e^-2s / 2; tends to the
     one-center value 5/8 as s -> 0 and to 1/s at large s.
     """
-    return _coulomb_j(_require_positive(s, "coulomb_j"), MATH_XP)
+    return _finite(_coulomb_j, _require_positive(s, "coulomb_j"), "coulomb_j")
 
 
 def exchange_k(s: float) -> float:
@@ -153,10 +169,7 @@ def exchange_k(s: float) -> float:
     1e-3), so below s = 1e-2 k is its series through s^7, which is within
     2e-16 of the exact value there.
     """
-    s = _require_positive(s, "exchange_k")
-    if s < EXCHANGE_SMALL_S:
-        return _exchange_series(s)
-    return _exchange_closed(s, MATH_XP)
+    return _finite(_exchange_k, _require_positive(s, "exchange_k"), "exchange_k")
 
 
 def hybrid_l(s: float) -> float:
@@ -166,7 +179,7 @@ def hybrid_l(s: float) -> float:
     singularities cancel; the difference of exponentials is taken through
     expm1 so the cancellation costs no precision.
     """
-    return _hybrid_l(_require_positive(s, "hybrid_l"), MATH_XP)
+    return _finite(_hybrid_l, _require_positive(s, "hybrid_l"), "hybrid_l")
 
 
 def one_center_m() -> float:
@@ -188,15 +201,20 @@ class IntegralSet:
     m: float
 
 
-def _integral_set(s, xp, k) -> IntegralSet:
+def _integral_set(s, xp, k, l) -> IntegralSet:
     return IntegralSet(s=s, S=_overlap(s, xp), jp=_jprime(s, xp), kp=_kprime(s, xp),
-                       j=_coulomb_j(s, xp), k=k, l=_hybrid_l(s, xp), m=_ONE_CENTER)
+                       j=_coulomb_j(s, xp), k=k, l=l, m=_ONE_CENTER)
 
 
 def integral_set(s: float) -> IntegralSet:
-    """Bundle every integral at reduced distance s > 0."""
+    """Bundle every integral at reduced distance s > 0.
+
+    Raises a ValueError, naming integral_set and s, where a field leaves
+    float64: k from s = 697.79 (before S and j do) and l below 1.7e-309.
+    """
     s = _require_positive(s, "integral_set")
-    return _integral_set(s, MATH_XP, exchange_k(s))
+    return _integral_set(s, MATH_XP, _finite(_exchange_k, s, "integral_set"),
+                         _finite(_hybrid_l, s, "integral_set"))
 
 
 def integral_table(s) -> IntegralSet:
@@ -212,4 +230,4 @@ def integral_table(s) -> IntegralSet:
         raise ValueError("integral_table requires finite s > 0 everywhere")
     xp = numpy_xp()
     k = np.where(s < EXCHANGE_SMALL_S, _exchange_series(s), _exchange_closed(s, xp))
-    return _integral_set(s, xp, k)
+    return _integral_set(s, xp, k, _hybrid_l(s, xp))

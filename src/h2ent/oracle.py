@@ -9,7 +9,11 @@ on (0, inf).  Nodes and weights are closed forms in t, built on first use
 and never at import.  Each rule carries two rows of weights, for step h and
 for step 2h on every other node, so one set of integrand values gives both
 sums; the step-h sum is returned, and RuntimeError is raised where the two
-differ by more than the requested tolerance.
+differ by more than the rule's fixed bound: ONE_ELECTRON_TOL absolute for the
+one-electron integrals, TWO_ELECTRON_TOL and E1_TOL relative to the value for
+the two-electron integrals and E1.  No one relative bound serves all three:
+at s = 654 the two j' sums differ by 3e-11 relative, well inside 1e-8
+absolute.
 
 * One-electron integrals (overlap, j', k') and the Coulomb integral j are
   product-rule integrals over t = r_a + r_b - s in [0, inf) and
@@ -72,6 +76,12 @@ MIN_SAMPLES = 10_000
 BLOCK_ROWS = 16_384
 # worker threads per estimate at most, so that few blocks are in memory at once
 MAX_WORKERS = 8
+
+# the largest step-h against step-2h difference each rule accepts:
+# absolute for the one-electron integrals, relative for the others
+ONE_ELECTRON_TOL = 1e-8
+TWO_ELECTRON_TOL = 1e-12
+E1_TOL = 1e-13
 
 # step h of the DE rules: at 1/32 the step-h and step-2h sums of every
 # integral here agree to about 1e-15 relative, at 1/16 only to about 1e-8
@@ -176,7 +186,7 @@ _ONE_ELECTRON = {
 }
 
 
-def quad_one_electron(kind: str, s: float, tol: float = 1e-8) -> float:
+def quad_one_electron(kind: str, s: float) -> float:
     """Deterministic quadrature of a one-electron integral in prolate
     spheroidal coordinates, by the DE product rule.
 
@@ -185,21 +195,20 @@ def quad_one_electron(kind: str, s: float, tol: float = 1e-8) -> float:
     kind : {"overlap", "jprime", "kprime"}
     s : float
         Reduced internuclear distance, > 0.
-    tol : float
-        Required absolute accuracy, finite and > 0; non-convergence raises.
 
     Raises
     ------
     ValueError
-        If s or tol is not finite and > 0, or kind is unknown.
+        If s is not finite and > 0, or kind is unknown.
     RuntimeError
-        If the error estimate (step h against step 2h) exceeds ``tol``.
+        If the error estimate (step h against step 2h) exceeds
+        ONE_ELECTRON_TOL.
     """
     s = _require_positive(s, "oracle")
-    tol = _require_positive(tol, "quad_one_electron", "tol")
-    if kind not in _ONE_ELECTRON:
+    # the tuple, not the dict: an unhashable kind is refused, not a TypeError
+    if kind not in QUAD_KINDS:
         raise ValueError(f"unknown one-electron kind {kind!r}; expected one of {QUAD_KINDS}")
-    return _converged(_prolate_sums(_ONE_ELECTRON[kind], s), tol,
+    return _converged(_prolate_sums(_ONE_ELECTRON[kind], s), ONE_ELECTRON_TOL,
                       f"one-electron quadrature for kind={kind}, s={s}")
 
 
@@ -261,7 +270,7 @@ def _neumann_sums(s, decay):
     return total
 
 
-def quad_two_electron(kind: str, s: float, tol: float = 1e-12) -> float:
+def quad_two_electron(kind: str, s: float) -> float:
     """Deterministic quadrature of a two-electron integral by the DE rules.
 
     j integrates the density on b in the potential of the density on a,
@@ -274,19 +283,16 @@ def quad_two_electron(kind: str, s: float, tol: float = 1e-12) -> float:
     kind : {"j", "k", "l", "m"}
     s : float
         Reduced internuclear distance, > 0 (m does not depend on it).
-    tol : float
-        Required relative accuracy, finite and > 0; non-convergence raises.
 
     Raises
     ------
     ValueError
-        If s or tol is not finite and > 0, or kind is unknown.
+        If s is not finite and > 0, or kind is unknown.
     RuntimeError
-        If the error estimate (step h against step 2h) exceeds ``tol``
-        relative to the value.
+        If the error estimate (step h against step 2h) exceeds
+        TWO_ELECTRON_TOL relative to the value.
     """
     s = _require_positive(s, "oracle")
-    tol = _require_positive(tol, "quad_two_electron", "tol")
     if kind == "m":
         # x = 2r: int 4 pi r^2 (e^-2r / pi) V(r) dr = int x e^-x (r V(r)) dx
         x, wx = _exp_sinh(DE_STEP)
@@ -301,11 +307,11 @@ def quad_two_electron(kind: str, s: float, tol: float = 1e-12) -> float:
         sums = (s ** 3 / 8.0) * math.exp(-s) * _neumann_sums(s, 2.0 * s)
     else:
         raise ValueError(f"unknown two-electron kind {kind!r}; expected one of {MC_KINDS}")
-    return _converged(sums, tol * abs(float(sums[0])),
+    return _converged(sums, TWO_ELECTRON_TOL * abs(float(sums[0])),
                       f"two-electron quadrature for kind={kind}, s={s}")
 
 
-def oracle_e1(x: float, tol: float = 1e-13) -> float:
+def oracle_e1(x: float) -> float:
     """DE quadrature of E1(x) = integral_x^inf e^-z / z dz.
 
     The substitution z = x + t gives e^-x * integral_0^inf e^-t / (x + t) dt,
@@ -318,18 +324,17 @@ def oracle_e1(x: float, tol: float = 1e-13) -> float:
     Raises
     ------
     ValueError
-        If x or tol is not finite and > 0.
+        If x is not finite and > 0.
     RuntimeError
-        If the error estimate (step h against step 2h) exceeds ``tol``
+        If the error estimate (step h against step 2h) exceeds E1_TOL
         relative to the value.
     """
     x = _require_positive(x, "oracle_e1", "x")
-    tol = _require_positive(tol, "oracle_e1", "tol")
     y, _, wy = _tanh_sinh(DE_STEP)
     t, wt = _exp_sinh(DE_STEP)
     sums = (math.log1p(1.0 / x) + wy @ (np.expm1(-y) / (x + y))
             + math.exp(-1.0) * (wt @ (np.exp(-t) / (x + 1.0 + t))))
-    return math.exp(-x) * _converged(sums, tol * abs(float(sums[0])), f"E1 quadrature at x={x}")
+    return math.exp(-x) * _converged(sums, E1_TOL * abs(float(sums[0])), f"E1 quadrature at x={x}")
 
 
 def _worker_count() -> int:

@@ -198,12 +198,12 @@ def binary_entropy(p: float) -> float:
     Raises
     ------
     ValueError
-        If ``p`` lies outside [0, 1].
+        If ``p`` is not a real number (a bool, a string or a complex
+        included) or lies outside [0, 1].
     """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
+    if not (_is_real(p) and 0.0 <= float(p) <= 1.0):
         raise ValueError(f"binary_entropy requires p in [0, 1], got {p!r}")
-    return _binary_entropy(p, MATH_XP)
+    return _binary_entropy(float(p), MATH_XP)
 
 
 def _binary_entropy(p, xp):

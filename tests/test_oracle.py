@@ -36,6 +36,9 @@ def test_quadrature_point_charge_limit():
 def test_quadrature_rejects_bad_input():
     with pytest.raises(ValueError):
         quad_one_electron("nope", 1.0)
+    # a list raised a bare TypeError from the dict of integrands
+    with pytest.raises(ValueError, match=r"^unknown one-electron kind \['overlap'\]"):
+        quad_one_electron(["overlap"], 1.0)
     with pytest.raises(ValueError):
         quad_one_electron("overlap", -1.0)
 
@@ -72,7 +75,7 @@ def test_legendre_q_against_mpmath():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: quad_one_electron("overlap", 1.0, tol=1e-12),
+    lambda: quad_one_electron("overlap", 1.0),
     lambda: quad_two_electron("m", 1.0),
     lambda: quad_two_electron("j", 1.67),
     lambda: quad_two_electron("k", 1.67),
@@ -80,6 +83,9 @@ def test_legendre_q_against_mpmath():
     lambda: oracle_e1(1e-3),
 ])
 def test_too_coarse_rule_raises(call, monkeypatch):
+    # quad_one_electron is held to 1e-12 absolute, not to its 1e-8, which
+    # twice the step may still meet; no other rule reads ONE_ELECTRON_TOL
+    monkeypatch.setattr(oracle, "ONE_ELECTRON_TOL", 1e-12)
     call()
     # at twice the step the step-h and step-2h sums differ by about 1e-8
     monkeypatch.setattr(oracle, "DE_STEP", 2.0 * oracle.DE_STEP)
@@ -190,39 +196,6 @@ def test_mc_refuses_bools_for_counts_and_seeds():
             mc_two_electron("j", 1.0, 10_000, seed)
     with pytest.raises(ValueError, match=r"^n_samples must be an integer >= \d+, got True$"):
         mc_two_electron("j", 1.0, True, 1)
-
-
-@pytest.fixture
-def no_quadrature(monkeypatch):
-    """Every rule and sum of the oracle raises if it is reached."""
-    def reached(*args):
-        raise AssertionError("a quadrature ran")
-    for name in ("_prolate_sums", "_neumann_sums", "_exp_sinh", "_tanh_sinh"):
-        monkeypatch.setattr(oracle, name, reached)
-
-
-BAD_TOLERANCES = (-1.0, 0.0, -0.0, math.nan, math.inf)
-
-
-# a tolerance that is not finite and > 0 raised "... did not reach -1" after
-# a full quadrature, or could never be met
-def test_quad_one_electron_refuses_bad_tolerance(no_quadrature):
-    for tol in BAD_TOLERANCES:
-        with pytest.raises(ValueError, match=r"^quad_one_electron requires finite tol > 0"):
-            quad_one_electron("overlap", 1.0, tol=tol)
-
-
-def test_quad_two_electron_refuses_bad_tolerance(no_quadrature):
-    for kind in ("j", "m"):
-        for tol in BAD_TOLERANCES:
-            with pytest.raises(ValueError, match=r"^quad_two_electron requires finite tol > 0"):
-                quad_two_electron(kind, 1.0, tol=tol)
-
-
-def test_oracle_e1_refuses_bad_tolerance(no_quadrature):
-    for tol in BAD_TOLERANCES:
-        with pytest.raises(ValueError, match=r"^oracle_e1 requires finite tol > 0"):
-            oracle_e1(1.0, tol=tol)
 
 
 def test_radius_transform_inverts_cdf():

@@ -52,11 +52,11 @@ API = {
     "ground_concurrence": "(c1: float, c2: float) -> float",
     "ground_entropy": "(c1: float, c2: float) -> float",
     "McEstimate": "(mean: float, stderr: float, n_samples: int, seed: int) -> None",
-    "quad_one_electron": "(kind: str, s: float, tol: float = 1e-08) -> float",
-    "quad_two_electron": "(kind: str, s: float, tol: float = 1e-12) -> float",
+    "quad_one_electron": "(kind: str, s: float) -> float",
+    "quad_two_electron": "(kind: str, s: float) -> float",
     "mc_two_electron": "(kind: str, s: float, n_samples: int, seed: int) "
                        "-> h2ent.oracle.McEstimate",
-    "oracle_e1": "(x: float, tol: float = 1e-13) -> float",
+    "oracle_e1": "(x: float) -> float",
     "ScanConfig": "(s_min: float = 0.5, s_max: float = 10.0, steps: int = 400, "
                   "unit: str = 'rydberg', h22_variant: str = 'corrected') -> None",
     "ScanRecord": "(s: float, e_psi1: float, e_psi2: float, e_ci: float, c1_sq: float, "

@@ -372,11 +372,12 @@ def test_grid_rows_name_the_first_non_finite_point(steps):
     assert all(np.isfinite(record_at(x).values()).all() for x in grid[max(first - 3, 0):first])
 
 
-# s -> what the float64 closed forms do there: divide by 1 - S^2 = 0 below
-# s ~ 1e-8, give c1 = nan at 700 (a non-finite column, no exception) and
-# overflow exp(s) at 710 and 800
-UNEVALUABLE = {1e-9: ZeroDivisionError, 2.08e-9: ZeroDivisionError, 700.0: type(None),
-               710.0: OverflowError, 800.0: OverflowError}
+# s -> the cause record_at chains: hamiltonian_block refuses to divide by
+# 1 - S^2 = 0 below s ~ 3.4e-8, and integral_set refuses k past s = 697.79,
+# where S' overflows (it gave c1 = nan at 700 and an OverflowError of exp(s)
+# at 710 and 800)
+UNEVALUABLE = {1e-9: ValueError, 2.08e-9: ValueError, 700.0: ValueError,
+               710.0: ValueError, 800.0: ValueError}
 
 
 @pytest.mark.parametrize("s", sorted(UNEVALUABLE))

@@ -37,6 +37,10 @@ COMMANDS = (
     ("verify", "--samples", "20000", "--seed", "7"),
     ("--version",),
     *(("point", "--s", s) for s in ("nan", "-1", "1e-4", "700", "inf", "-1e-3")),
+    # distances where the library refuses what float64 cannot hold
+    ("point", "--s", "710"),
+    ("point", "--s", "1e200"),
+    ("scan", "--s-min", "600", "--s-max", "800", "--steps", "5"),
     # abbreviated float options, each beside its `=` form
     ("scan", "--s-mi", "-1e-3", "--s-max", "1", "--steps", "3"),
     ("scan", "--s-mi=-1e-3", "--s-max", "1", "--steps", "3"),
