@@ -226,8 +226,8 @@ def w_from_ci(c1: float, c2: float) -> AntisymW:
     # of these rows
     scale = math.sqrt(0.5 / (4.0 * (plus * plus + minus * minus)))
     p, m = plus * scale, minus * scale
-    return AntisymW(n=4, w=[[0.0, p, 0.0, m], [0.0 - p, 0.0, -m, 0.0],
-                            [0.0, 0.0 + m, 0.0, p], [0.0 - m, 0.0, 0.0 - p, 0.0]])
+    return AntisymW([[0.0, p, 0.0, m], [0.0 - p, 0.0, -m, 0.0],
+                     [0.0, 0.0 + m, 0.0, p], [0.0 - m, 0.0, 0.0 - p, 0.0]])
 
 
 def ground_concurrence(c1: float, c2: float) -> float:

@@ -18,27 +18,28 @@ Implemented measures:
 * single-particle reduced density matrix rho = 2 (w^dag w)^T
 * von Neumann entropy  S = -1 - 4 sum_k z_k^2 log2 z_k^2   in [1, log2 n]
 
-Each value is checked once, where it is made.  An AntisymW refuses, in
-__post_init__, an n that is not an even integer >= 2, a w not of shape
-(n, n), sum |w_ij|^2 off 1/2 by more than NORM_TOL (which NaN and inf
-fail), and |w + w^T|_F > NORM_TOL.  A SlaterSpectrum refuses sum z_k^2 off
-1/4 by more than NORM_TOL (which a non-finite z_k fails), an n that is not
-an even integer >= 2, and a z that is not n/2 coefficients z_k >= 0 sorted
-descending, so that the entropy lies in [1, log2 n].  Both keep a
-read-only copy of their array, so no later write gets past the check, and
-the measures read them without a check of their own.  The concurrence is
-defined for an antisymmetric w only, and within that bound the eigenvalue
-pairs of w^dag w differ by about 1.4e-10 at most (Weyl's bound), so they
-need no test of their own.  Everything is a pure function; no shared
-state.  numpy is imported by the functions that use it, so that importing
-this module does not load it.
+A state carries its own dimension: n is len(w) for an AntisymW, 2 len(z)
+for a SlaterSpectrum and the n with n(n-1)/2 = len(upper_entries) for
+make_antisym, so no caller passes it.  Each value is checked once, where
+it is made.  An AntisymW refuses, in __post_init__, a w that is not square
+or whose dimension is not even and >= 2, sum |w_ij|^2 off 1/2 by more
+than NORM_TOL (which NaN and inf fail), and |w + w^T|_F > NORM_TOL.  A
+SlaterSpectrum refuses sum z_k^2 off 1/4 by more than NORM_TOL (which a
+non-finite z_k fails), and a z that is not 1-D with coefficients z_k >= 0
+sorted descending.  Both keep a read-only copy of their array, so no later
+write gets past the check, and the measures read them without a check of
+their own.  The concurrence is defined for an antisymmetric w only, and
+within that bound the eigenvalue pairs of w^dag w differ by about 1.4e-10
+at most (Weyl's bound), so they need no test of their own.  Everything is
+a pure function; no shared state.  numpy is imported by the functions that
+use it, so that importing this module does not load it.
 """
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .specfun import _is_integer, _require_positive
+from .specfun import _require_positive
 
 __all__ = [
     "AntisymW",
@@ -57,41 +58,39 @@ NORM_TOL = 1e-10
 _LOG_CLAMP = 1e-14
 
 
-def _check_dimension(n) -> None:
-    if not _is_integer(n) or n < 2 or n % 2 != 0:
-        raise ValueError(f"single-particle dimension must be even and >= 2, got {n}")
-
-
 @dataclass(frozen=True, eq=False)
 class AntisymW:
     """Antisymmetric coefficient matrix of a two-fermion pure state.
 
     Attributes
     ----------
-    n : int
-        Even dimension of the single-particle space.
     w : numpy.ndarray
         Complex (n, n) matrix with w.T == -w and sum |w_ij|^2 == 1/2: a
         read-only copy of the array given.
+    n : int
+        Even dimension of the single-particle space, len(w); not an
+        argument.
 
     Raises
     ------
     ValueError
-        If n is not an even integer >= 2, or w is not of shape (n, n), not
-        normalized (non-finite entries included) or not antisymmetric.
+        If w is not square, its dimension is not even and >= 2, or it is
+        not normalized (non-finite entries included) or not antisymmetric.
     """
 
-    n: int
     w: "numpy.ndarray"
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         import numpy as np
-        n, w = self.n, np.array(self.w, dtype=complex)
-        _check_dimension(n)
+        w = np.array(self.w, dtype=complex)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        if w.shape != (n, n):
-            raise ValueError(f"AntisymW requires w of shape (n, n), got {w.shape} for n = {n!r}")
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"AntisymW requires a square w, got shape {w.shape}")
+        object.__setattr__(self, "n", len(w))
+        if self.n < 2 or self.n % 2 != 0:
+            raise ValueError(f"single-particle dimension must be even and >= 2, got {self.n}")
         nrm2 = float(np.vdot(w, w).real)
         # written so that NaN fails it too
         if not abs(nrm2 - 0.5) <= NORM_TOL:
@@ -103,26 +102,27 @@ class AntisymW:
 
     def __reduce__(self):
         # pickle and copy rebuild through __post_init__: checked and read-only
-        return type(self), (self.n, self.w)
+        return type(self), (self.w,)
 
 
 @dataclass(frozen=True, eq=False)
 class SlaterSpectrum:
-    """n/2 nonnegative Slater coefficients z_k, sorted descending, of a state
-    over n modes; sum z_k^2 = 1/4.
+    """Nonnegative Slater coefficients z_k, sorted descending, of a state
+    over n = 2 len(z) modes; sum z_k^2 = 1/4.
 
-    z is a read-only float copy of the sequence given.
+    z is a read-only float copy of the sequence given; n is derived from
+    it, not an argument.
 
     Raises
     ------
     ValueError
         If a coefficient is complex or not finite, sum z_k^2 is off 1/4 by
-        more than NORM_TOL, n is not an even integer >= 2, or z is not n/2
-        coefficients >= 0 sorted descending.
+        more than NORM_TOL, or z is not 1-D with coefficients >= 0 sorted
+        descending.
     """
 
     z: "numpy.ndarray"
-    n: int
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -140,24 +140,23 @@ class SlaterSpectrum:
         if not abs(total - 0.25) <= NORM_TOL:
             raise ValueError(f"SlaterSpectrum requires finite Slater coefficients with "
                              f"sum z_k^2 = 1/4, got {total!r} from z = {z!r}")
-        _check_dimension(self.n)
-        if z.shape != (self.n // 2,) or values != sorted(values, reverse=True) or values[-1] < 0:
-            raise ValueError(f"SlaterSpectrum requires n/2 = {self.n // 2} coefficients "
+        if z.ndim != 1 or values != sorted(values, reverse=True) or values[-1] < 0:
+            raise ValueError(f"SlaterSpectrum requires a 1-D z of coefficients "
                              f"z_k >= 0 sorted descending, got z = {z!r}")
+        object.__setattr__(self, "n", 2 * len(values))
 
     def __reduce__(self):
-        return type(self), (self.z, self.n)
+        return type(self), (self.z,)
 
 
-def make_antisym(upper_entries, n: int = 4) -> AntisymW:
+def make_antisym(upper_entries) -> AntisymW:
     """Build a normalized AntisymW from the strict upper triangle.
 
     Parameters
     ----------
     upper_entries : sequence of complex
-        Entries w_ij for i < j in row-major order; length n(n-1)/2.
-    n : int
-        Even dimension >= 2, an integer (numpy's included) and not a bool.
+        Entries w_ij for i < j in row-major order; their count n(n-1)/2
+        gives the dimension n, which must be even and >= 2.
 
     Returns
     -------
@@ -165,11 +164,11 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
         The antisymmetric completion rescaled so sum |w_ij|^2 = 1/2.
     """
     import numpy as np
-    _check_dimension(n)
     entries = np.asarray(upper_entries, dtype=complex).ravel()
-    want = n * (n - 1) // 2
-    if entries.size != want:
-        raise ValueError(f"expected {want} upper-triangle entries for n={n}, got {entries.size}")
+    # the root of n(n-1)/2 = size; a size of no such form fails the test below
+    n = (1 + math.isqrt(1 + 8 * entries.size)) // 2
+    if n * (n - 1) // 2 != entries.size:
+        raise ValueError(f"make_antisym requires n(n-1)/2 entries, got {entries.size}")
     w = np.zeros((n, n), dtype=complex)
     iu, ju = np.triu_indices(n, k=1)
     w[iu, ju] = entries
@@ -190,7 +189,7 @@ def make_antisym(upper_entries, n: int = 4) -> AntisymW:
     if not math.isfinite(nrm2):
         raise ValueError(f"make_antisym requires finite entries, got sum |w_ij|^2 = {nrm2!r}")
     w *= math.sqrt(0.5 / nrm2)
-    return AntisymW(n=n, w=w)
+    return AntisymW(w)
 
 
 def concurrence4(w: AntisymW) -> float:
@@ -231,7 +230,7 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
     evals = [0.0 if e < 0.0 else e for e in evals]
     # descending as the eigenvalues are, since rounding is monotone
     z = [math.sqrt((a + b) / 2.0) for a, b in zip(evals[::2], evals[1::2], strict=True)]
-    return SlaterSpectrum(z=z, n=w.n)
+    return SlaterSpectrum(z)
 
 
 def slater_rank(spec: SlaterSpectrum, tol: float = 1e-10) -> int:

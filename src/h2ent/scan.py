@@ -94,7 +94,8 @@ class ScanRecord:
 @dataclass(frozen=True)
 class ScanConfig:
     """Sweep configuration, checked when it is made: a ValueError names the
-    first field out of range."""
+    first field out of range.  The bounds are stored as Python floats and
+    steps as a Python int, whatever real or integer type was given."""
 
     s_min: float = 0.5
     s_max: float = 10.0
@@ -112,6 +113,10 @@ class ScanConfig:
         _check_steps(self.steps)
         _check_unit(self.unit)
         _check_variant(self.h22_variant)
+        # kept as Python numbers: numpy's float32 bounds would build the grid
+        # in float32 (NEP 50), off s_min + i h by 1e-8 and past s_max
+        for name, kind in (("s_min", float), ("s_max", float), ("steps", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 def _check_steps(steps) -> None:

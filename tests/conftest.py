@@ -21,7 +21,7 @@ def random_antisym(rng, n=4):
     """Random normalized two-fermion coefficient matrix."""
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     entries = [m[i, j] for i in range(n) for j in range(i + 1, n)]
-    return make_antisym(entries, n)
+    return make_antisym(entries)
 
 
 def random_unitary(rng, n=4):
@@ -33,4 +33,4 @@ def random_unitary(rng, n=4):
 
 def mode_rotate(w: AntisymW, u: np.ndarray) -> AntisymW:
     """Coefficient matrix after rotating the modes: w' = U^dag w U*."""
-    return AntisymW(n=w.n, w=u.conj().T @ w.w @ u.conj())
+    return AntisymW(u.conj().T @ w.w @ u.conj())

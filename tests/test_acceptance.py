@@ -216,7 +216,7 @@ def test_c09_fermionic_invariants(rng):
         ok &= ((con < 1e-8) == rank1)
         ok &= (1.0 - 1e-12 <= ent <= 2.0 + 1e-12)
     # rotated single determinants exercise the C ~ 0 <=> rank 1 direction
-    base = make_antisym([1.0, 0, 0, 0, 0, 0], n=4)
+    base = make_antisym([1.0, 0, 0, 0, 0, 0])
     for _ in range(100):
         wp = mode_rotate(base, random_unitary(rng, 4))
         spec = slater_decompose(wp)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import warnings
@@ -20,43 +21,32 @@ def norm2(w):
 
 
 def test_make_antisym_single_pair():
-    w = make_antisym([1.0, 0, 0, 0, 0, 0], n=4)
+    w = make_antisym([1.0, 0, 0, 0, 0, 0])
     assert w.w[0, 1] == 0.5
     assert w.w[1, 0] == -0.5
     assert norm2(w) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_make_antisym_two_pairs_uniform_rescale():
-    w = make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4)
+    w = make_antisym([1.0, 0, 0, 0, 0, 1.0])
     assert w.w[0, 1] == pytest.approx(INV_SQRT8, abs=1e-15)
     assert w.w[2, 3] == pytest.approx(INV_SQRT8, abs=1e-15)
 
 
 def test_make_antisym_preserves_phase():
-    w = make_antisym([5.0j], n=2)
+    w = make_antisym([5.0j])
     assert w.w[0, 1] == pytest.approx(0.5j, abs=1e-15)
 
 
 def test_make_antisym_rejects_bad_input():
-    with pytest.raises(ValueError):
-        make_antisym([0.0] * 6, n=4)           # all zero
-    with pytest.raises(ValueError):
-        make_antisym([1.0, 2.0, 3.0], n=3)     # odd dimension
-    with pytest.raises(ValueError):
-        make_antisym([1.0, 2.0], n=4)          # wrong entry count
-
-
-@pytest.mark.parametrize("n", [4.0, "4", True])
-def test_make_antisym_refuses_a_dimension_that_is_not_an_integer(n):
-    # 4.0 and "4" raised a TypeError from numpy or from <
-    with pytest.raises(ValueError, match="^single-particle dimension must be even and >= 2"):
-        make_antisym([1.0, 0, 0, 0, 0, 1.0], n)
-
-
-def test_make_antisym_accepts_a_numpy_integer_dimension():
-    w = make_antisym([1.0, 0, 0, 0, 0, 1.0], np.int64(4))
-    assert np.array_equal(w.w, make_antisym([1.0, 0, 0, 0, 0, 1.0], 4).w)
-    assert concurrence4(w) == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="^all-zero"):
+        make_antisym([0.0] * 6)
+    # three entries are the upper triangle of a 3x3 w
+    with pytest.raises(ValueError, match="^single-particle dimension must be even and >= 2, "
+                                         "got 3$"):
+        make_antisym([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"^make_antisym requires n\(n-1\)/2 entries, got 2$"):
+        make_antisym([1.0, 2.0])
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -77,25 +67,25 @@ def test_make_antisym_rejects_non_finite_entries():
 
 
 def test_concurrence_of_single_slater_determinant_is_zero():
-    w = make_antisym([1.0, 0, 0, 0, 0, 0], n=4)
+    w = make_antisym([1.0, 0, 0, 0, 0, 0])
     assert concurrence4(w) == pytest.approx(0.0, abs=1e-15)
     assert slater_rank(slater_decompose(w), 1e-10) == 1
 
 
 def test_concurrence_of_maximally_entangled_state_is_one():
-    w = make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4)
+    w = make_antisym([1.0, 0, 0, 0, 0, 1.0])
     assert concurrence4(w) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_concurrence_requires_dimension_four():
     with pytest.raises(ValueError):
-        concurrence4(make_antisym([1.0], n=2))
+        concurrence4(make_antisym([1.0]))
     with pytest.raises(ValueError):
-        concurrence4(make_antisym([1.0] + [0.0] * 14, n=6))
+        concurrence4(make_antisym([1.0] + [0.0] * 14))
 
 
 def test_slater_decompose_block_state():
-    w = make_antisym([1.0, 0, 0, 0, 0, 0], n=4)
+    w = make_antisym([1.0, 0, 0, 0, 0, 0])
     spec = slater_decompose(w)
     assert spec.z[0] == pytest.approx(0.5, abs=1e-14)
     assert spec.z[1] == pytest.approx(0.0, abs=1e-14)
@@ -116,7 +106,7 @@ def test_slater_decompose_surfaces_pairing_violation():
     w[0, 1], w[1, 0] = 0.7, -0.1
     w *= math.sqrt(0.5 / np.sum(np.abs(w) ** 2))
     with pytest.raises(ValueError, match="^AntisymW requires an antisymmetric w"):
-        slater_decompose(AntisymW(n=4, w=w))
+        slater_decompose(AntisymW(w))
 
 
 def test_slater_decompose_surfaces_eigensolver_failure(monkeypatch):
@@ -125,33 +115,24 @@ def test_slater_decompose_surfaces_eigensolver_failure(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        slater_decompose(make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4))
+        slater_decompose(make_antisym([1.0, 0, 0, 0, 0, 1.0]))
 
 
 def test_concurrence_rejects_nan():
     with pytest.raises(ValueError, match=r"^AntisymW requires a normalized w, "
                                          r"got sum \|w_ij\|\^2 = nan$"):
-        concurrence4(AntisymW(n=4, w=np.full((4, 4), np.nan, dtype=complex)))
+        concurrence4(AntisymW(np.full((4, 4), np.nan, dtype=complex)))
 
 
 def test_concurrence_refuses_an_unnormalized_state():
     # three times a normalized state gave C = 9, outside [0, 1]
-    w = make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4)
+    w = make_antisym([1.0, 0, 0, 0, 0, 1.0])
     with pytest.raises(ValueError, match=r"^AntisymW requires a normalized w"):
-        concurrence4(AntisymW(n=4, w=3.0 * w.w))
+        concurrence4(AntisymW(3.0 * w.w))
 
 
-# the three tests below are parametrized by the measures that read an
+# the two tests below are parametrized by the measures that read an
 # AntisymW: the state is refused when it is made, so none of them sees it
-@pytest.mark.parametrize("measure", [concurrence4, slater_decompose, reduced_density])
-def test_antisym_measures_refuse_a_matrix_of_another_dimension(rng, measure):
-    # a normalized 6x6 w labelled n = 4: concurrence4 read its corner,
-    # slater_decompose gave three coefficients for n = 4
-    with pytest.raises(ValueError, match=r"^AntisymW requires w of shape \(n, n\), "
-                                         r"got \(6, 6\) for n = 4$"):
-        measure(AntisymW(n=4, w=random_antisym(rng, 6).w))
-
-
 @pytest.mark.parametrize("measure", [concurrence4, slater_decompose, reduced_density])
 def test_antisym_measures_refuse_a_matrix_that_is_not_antisymmetric(measure):
     # normalized, but w^T != -w: concurrence4 gave C = 1.815, outside [0, 1],
@@ -161,7 +142,7 @@ def test_antisym_measures_refuse_a_matrix_that_is_not_antisymmetric(measure):
     w *= math.sqrt(0.5 / np.sum(np.abs(w) ** 2))
     with pytest.raises(ValueError, match=r"^AntisymW requires an antisymmetric w, "
                                          r"got \|w \+ w\^T\|_F = "):
-        measure(AntisymW(n=4, w=w))
+        measure(AntisymW(w))
 
 
 @pytest.mark.parametrize("measure", [concurrence4, slater_decompose, reduced_density])
@@ -172,8 +153,8 @@ def test_antisym_measures_bound_the_symmetric_part(rng, measure):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     sym = (m + m.T) / np.linalg.norm(m + m.T)
     with pytest.raises(ValueError, match="^AntisymW requires an antisymmetric w"):
-        measure(AntisymW(n=4, w=w.w + 2e-10 * sym))
-    measure(AntisymW(n=4, w=w.w + 2e-11 * sym))
+        measure(AntisymW(w.w + 2e-10 * sym))
+    measure(AntisymW(w.w + 2e-11 * sym))
 
 
 def test_antisymw_refuses_an_odd_dimension():
@@ -183,19 +164,59 @@ def test_antisymw_refuses_an_odd_dimension():
     w[0, 1], w[1, 0] = 0.5, -0.5
     with pytest.raises(ValueError, match="^single-particle dimension must be even and >= 2, "
                                          "got 3$"):
-        AntisymW(n=3, w=w)
+        AntisymW(w)
 
 
-@pytest.mark.parametrize("n", [0, 4.0, "4", True])
-def test_antisymw_refuses_a_dimension_that_is_not_an_even_integer(n):
-    w = make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4).w
-    with pytest.raises(ValueError, match="^single-particle dimension must be even and >= 2"):
-        AntisymW(n=n, w=w)
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_the_dimension_is_derived_from_the_state(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    entries = np.array([m[i, j] for i in range(n) for j in range(i + 1, n)])
+    aw = make_antisym(entries)
+    spec = slater_decompose(aw)
+    # from the entries, from w and from z, a Python int each time: a numpy
+    # integer given as n was stored as it came
+    for value in (aw, AntisymW(aw.w), spec, SlaterSpectrum(spec.z)):
+        assert type(value.n) is int and value.n == n
+    assert len(spec.z) == n // 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        aw.n = n + 2
+
+
+@pytest.mark.parametrize("w", [np.zeros((4, 2)), np.zeros(4), np.zeros((2, 2, 2)),
+                               np.array(0.5)])
+def test_antisymw_refuses_a_w_that_is_not_square(w):
+    with pytest.raises(ValueError, match=r"^AntisymW requires a square w, got shape \("):
+        AntisymW(w)
+
+
+def test_antisymw_refuses_an_empty_w():
+    with pytest.raises(ValueError, match="^single-particle dimension must be even and >= 2, "
+                                         "got 0$"):
+        AntisymW(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("count", [4, 5, 7, 14])
+def test_make_antisym_refuses_an_entry_count_that_is_not_triangular(count):
+    with pytest.raises(ValueError, match=rf"^make_antisym requires n\(n-1\)/2 entries, "
+                                         rf"got {count}$"):
+        make_antisym([1.0] * count)
+
+
+@pytest.mark.parametrize("make, value", [
+    (AntisymW, np.array([[0.0, 0.5], [-0.5, 0.0]])),
+    (SlaterSpectrum, [0.5]),
+    (make_antisym, [1.0]),
+])
+def test_the_dimension_is_not_an_argument(make, value):
+    with pytest.raises(TypeError):
+        make(value, n=2)
+    with pytest.raises(TypeError):
+        make(value, 2)
 
 
 def test_antisymw_keeps_a_read_only_copy():
-    given = make_antisym([1.0, 0, 0, 0, 0, 1.0], n=4).w.copy()
-    aw = AntisymW(n=4, w=given)
+    given = make_antisym([1.0, 0, 0, 0, 0, 1.0]).w.copy()
+    aw = AntisymW(given)
     with pytest.raises(ValueError, match="read-only"):
         aw.w[0, 1] = 5.0
     given[0, 1] = 5.0
@@ -206,7 +227,7 @@ def test_antisymw_keeps_a_read_only_copy():
 
 def test_slater_spectrum_keeps_a_read_only_copy():
     given = np.array([0.5, 0.0])
-    spec = SlaterSpectrum(z=given, n=4)
+    spec = SlaterSpectrum(given)
     with pytest.raises(ValueError, match="read-only"):
         spec.z[1] = 0.5
     given[1] = 0.5
@@ -221,11 +242,11 @@ COPIES = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
 @pytest.mark.parametrize("how", sorted(COPIES))
 def test_copies_are_checked_and_read_only(how):
     # pickle and deepcopy gave a writable array, and copy.copy shared it
-    aw = make_antisym([1.0, 0.5j, 0, 0, -0.25, 1.0], n=4)
+    aw = make_antisym([1.0, 0.5j, 0, 0, -0.25, 1.0])
     spec = slater_decompose(aw)
     for value, field in ((aw, "w"), (spec, "z")):
         dup = COPIES[how](value)
-        assert type(dup) is type(value) and dup.n == value.n
+        assert type(dup) is type(value) and type(dup.n) is int and dup.n == value.n
         array, original = getattr(dup, field), getattr(value, field)
         assert not array.flags.writeable and not np.shares_memory(array, original)
         assert array.tobytes() == original.tobytes() and array.dtype == original.dtype
@@ -235,34 +256,30 @@ def test_copies_are_checked_and_read_only(how):
         COPIES[how](spec).z[1] = 0.5
 
 
-@pytest.mark.parametrize("z, n, message", [
-    ([math.sqrt(1.0 / 12.0)] * 3, 4, "n/2 = 2 coefficients"),   # entropy 2.585 > log2 4
-    ([-0.5], 2, "n/2 = 1 coefficients"),                        # Slater rank 0
-    ([0.0, 0.5], 4, "sorted descending"),
-    ([[0.5, 0.0]], 4, "n/2 = 2 coefficients"),
-    (0.5, 2, "n/2 = 1 coefficients"),
-    ([0.5], "x", "single-particle dimension"),
-    ([0.5], 3, "single-particle dimension"),
-    ([0.5, 0.0], True, "single-particle dimension"),
-    ([0.5 + 0j, 0.0], 4, "real Slater coefficients"),
-    (np.array([0.5 + 1e-3j, 0.0]), 4, "real Slater coefficients"),
+@pytest.mark.parametrize("z, message", [
+    ([-0.5], "z_k >= 0 sorted descending"),   # Slater rank 0
+    ([0.0, 0.5], "sorted descending"),
+    ([[0.5, 0.0]], "requires a 1-D z"),
+    (0.5, "requires a 1-D z"),
+    ([0.5 + 0j, 0.0], "real Slater coefficients"),
+    (np.array([0.5 + 1e-3j, 0.0]), "real Slater coefficients"),
 ])
-def test_slater_spectrum_refuses_what_it_does_not_hold(z, n, message):
+def test_slater_spectrum_refuses_what_it_does_not_hold(z, message):
     # a z of the wrong shape and a list of complex raised a TypeError; the
     # others were accepted, the complex array with its imaginary part dropped
     with pytest.raises(ValueError, match=message):
-        SlaterSpectrum(z=z, n=n)
+        SlaterSpectrum(z)
 
 
 def test_slater_rank_rejects_nan():
     with pytest.raises(ValueError, match="^SlaterSpectrum requires finite Slater coefficients"):
-        slater_rank(SlaterSpectrum(z=np.array([np.nan, np.nan]), n=4))
+        slater_rank(SlaterSpectrum(np.array([np.nan, np.nan])))
 
 
 def test_slater_rank_counts_above_tolerance():
-    spec = SlaterSpectrum(z=np.array([0.5, 0.0]), n=4)
+    spec = SlaterSpectrum(np.array([0.5, 0.0]))
     assert slater_rank(spec, 1e-10) == 1
-    spec2 = SlaterSpectrum(z=np.array([0.49, math.sqrt(0.25 - 0.49 ** 2)]), n=4)
+    spec2 = SlaterSpectrum(np.array([0.49, math.sqrt(0.25 - 0.49 ** 2)]))
     assert slater_rank(spec2, 1e-6) == 2
     with pytest.raises(ValueError):
         slater_rank(spec, 0.0)
@@ -270,11 +287,11 @@ def test_slater_rank_counts_above_tolerance():
 
 def test_reduced_density_rejects_nan():
     with pytest.raises(ValueError, match="^AntisymW requires a normalized w"):
-        reduced_density(AntisymW(n=4, w=np.full((4, 4), np.nan, dtype=complex)))
+        reduced_density(AntisymW(np.full((4, 4), np.nan, dtype=complex)))
 
 
 def test_reduced_density_of_block_state():
-    w = make_antisym([1.0, 0, 0, 0, 0, 0], n=4)
+    w = make_antisym([1.0, 0, 0, 0, 0, 0])
     rho = reduced_density(w)
     assert np.allclose(rho, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-14)
 
@@ -293,32 +310,32 @@ def test_reduced_density_unit_trace_and_paired_eigenvalues(rng):
 
 
 def test_entropy_of_single_determinant_is_one():
-    spec = SlaterSpectrum(z=np.array([0.5, 0.0]), n=4)
+    spec = SlaterSpectrum(np.array([0.5, 0.0]))
     assert von_neumann_entropy(spec) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_entropy_of_maximally_mixed_state_is_two():
-    spec = SlaterSpectrum(z=np.array([INV_SQRT8, INV_SQRT8]), n=4)
+    spec = SlaterSpectrum(np.array([INV_SQRT8, INV_SQRT8]))
     assert von_neumann_entropy(spec) == pytest.approx(2.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("z", [[math.nan, math.nan], [0.5, math.nan], [math.inf, 0.0]])
 def test_entropy_rejects_non_finite_coefficients(z):
     with pytest.raises(ValueError, match="^SlaterSpectrum requires finite Slater coefficients"):
-        von_neumann_entropy(SlaterSpectrum(z=z, n=4))
+        von_neumann_entropy(SlaterSpectrum(z))
 
 
 def test_entropy_rejects_unnormalized_spectrum():
     # sum z_k^2 = 1/2, not 1/4: the formula alone would return 3.0
     with pytest.raises(ValueError, match=r"^SlaterSpectrum requires finite Slater coefficients "
                                          r"with sum z_k\^2 = 1/4, got 0\.5 from z = "):
-        von_neumann_entropy(SlaterSpectrum(z=np.array([0.5, 0.5]), n=4))
+        von_neumann_entropy(SlaterSpectrum(np.array([0.5, 0.5])))
 
 
 def test_entropy_reduces_to_binary_entropy_for_two_blocks():
     for c1sq in np.linspace(1e-6, 1.0 - 1e-6, 23):
         z = np.array([math.sqrt(c1sq) / 2.0, math.sqrt(1.0 - c1sq) / 2.0])
-        spec = SlaterSpectrum(z=np.sort(z)[::-1], n=4)
+        spec = SlaterSpectrum(np.sort(z)[::-1])
         assert von_neumann_entropy(spec) == pytest.approx(
             1.0 + binary_entropy(c1sq), abs=1e-10)
 
@@ -349,14 +366,14 @@ def test_concurrence_equals_8_z1z2_for_real_block_family(rng):
         th = rng.uniform(0.0, 2.0 * math.pi)
         c1, c2 = math.cos(th), math.sin(th)
         entries = [(c1 + c2) / 4, 0, (c1 - c2) / 4, -(c1 - c2) / 4, 0, (c1 + c2) / 4]
-        w = make_antisym(entries, n=4)
+        w = make_antisym(entries)
         z = slater_decompose(w).z
         assert concurrence4(w) == pytest.approx(8.0 * z[0] * z[1], abs=1e-12)
 
 
 def test_rotated_single_determinants_have_zero_concurrence(rng):
     for _ in range(30):
-        base = make_antisym([1.0, 0, 0, 0, 0, 0], n=4)
+        base = make_antisym([1.0, 0, 0, 0, 0, 0])
         wp = mode_rotate(base, random_unitary(rng, 4))
         assert concurrence4(wp) < 1e-8
         assert slater_rank(slater_decompose(wp), 1e-6) == 1

@@ -32,9 +32,9 @@ API = {
     "one_center_m": "() -> float",
     "integral_set": "(s: float) -> h2ent.integrals.IntegralSet",
     "integral_table": "(s) -> h2ent.integrals.IntegralSet",
-    "AntisymW": "(n: int, w: 'numpy.ndarray') -> None",
-    "SlaterSpectrum": "(z: 'numpy.ndarray', n: int) -> None",
-    "make_antisym": "(upper_entries, n: int = 4) -> h2ent.entanglement.AntisymW",
+    "AntisymW": "(w: 'numpy.ndarray') -> None",
+    "SlaterSpectrum": "(z: 'numpy.ndarray') -> None",
+    "make_antisym": "(upper_entries) -> h2ent.entanglement.AntisymW",
     "concurrence4": "(w: h2ent.entanglement.AntisymW) -> float",
     "slater_decompose": "(w: h2ent.entanglement.AntisymW) -> h2ent.entanglement.SlaterSpectrum",
     "slater_rank": "(spec: h2ent.entanglement.SlaterSpectrum, tol: float = 1e-10) -> int",

@@ -300,6 +300,20 @@ def test_scan_config_accepts_numpy_integers():
         "scan", ScanConfig(1.0, 2.0, 5))
 
 
+
+@pytest.mark.parametrize("bounds", [(np.float32(0.5), 1.0), (0.5, np.float32(1.0)),
+                                    (np.float32(0.5), np.float32(1.0))])
+def test_scan_config_builds_its_grid_in_float64_from_float32_bounds(bounds):
+    # numpy's float32 bounds were kept, and s_min + i h stayed float32: the
+    # row at s = 2/3 read 0.666666686535 and scan_table ended past s_max, at
+    # 1.0000000149
+    config, plain = ScanConfig(*bounds, np.int64(4)), ScanConfig(0.5, 1.0, 4)
+    assert [type(v) for v in (config.s_min, config.s_max, config.steps)] == [float, float, int]
+    assert config == plain
+    assert grid_rows("scan", config) == grid_rows("scan", plain)
+    table = scan_table(config)
+    assert table.tobytes() == scan_table(plain).tobytes() and table[-1, 0] == 1.0
+
 GRIDS = ["scan", "fig1", "fig2", "fig3", "fig4"]
 
 

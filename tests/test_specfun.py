@@ -26,7 +26,7 @@ POSITIVE_ARGUMENTS = {
     "oracle_e1-x": ("oracle_e1", "x", oracle_e1),
     "mc_two_electron": ("oracle", "s", lambda v: mc_two_electron("m", v, 10_000, 0)),
     "slater_rank": ("slater_rank", "tol",
-                    lambda v: slater_rank(SlaterSpectrum(z=np.array([0.5, 0.0]), n=4), v)),
+                    lambda v: slater_rank(SlaterSpectrum(np.array([0.5, 0.0])), v)),
 }
 
 

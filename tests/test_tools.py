@@ -38,3 +38,17 @@ def test_digest_line_of_version():
     digest = _load("output_digest")
     line = digest.digest_line(digest.SRC, ("--version",))
     assert re.fullmatch(r"[0-9a-f]{16} [0-9a-f]{16} 0 --version", line)
+
+
+def test_code_lines_counts_a_package_under_another_source_directory(tmp_path, capsys):
+    package = tmp_path / "h2ent"
+    package.mkdir()
+    (package / "__init__.py").write_text('"""Package docstring."""\n\nfrom .a import f\n')
+    (package / "a.py").write_text("# a comment\n\ndef f():\n    return 1\n")
+    code_lines = _load("code_lines")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["     1  h2ent/__init__.py",
+                                                    "     2  h2ent/a.py",
+                                                    "     3  total"]
+    assert code_lines.main([str(tmp_path / "h2ent")]) == 2
+    assert "no h2ent package under" in capsys.readouterr().err

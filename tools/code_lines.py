@@ -1,13 +1,14 @@
-"""Count the code lines of each module under src/h2ent.
+"""Count the code lines of each module of the h2ent package.
 
 A code line holds at least one token that is not a comment; blank lines,
 comment lines and the lines of module, class and function docstrings are
 not counted.  A string that spans lines counts every line it spans.
 Standard library only.
 
-Run from the repository root:
+Run from the repository root, for this tree's `src/` or another one:
 
-    python tools/code_lines.py
+    python tools/code_lines.py [SRC_DIR]
+    diff <(python tools/code_lines.py OLD/src) <(python tools/code_lines.py)
 """
 
 import ast
@@ -15,7 +16,7 @@ import pathlib
 import sys
 import tokenize
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "h2ent"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -43,12 +44,21 @@ def code_lines(path: pathlib.Path) -> int:
     return len(lines - _docstring_lines(ast.parse(source, str(path))))
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1:
+        print("usage: python tools/code_lines.py [SRC_DIR]", file=sys.stderr)
+        return 2
+    src = pathlib.Path(argv[0]).resolve() if argv else SRC
+    package = src / "h2ent"
+    if not (package / "__init__.py").is_file():
+        print(f"code_lines: no h2ent package under {src}", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(ROOT.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         count = code_lines(path)
         total += count
-        print(f"{count:6d}  {path.relative_to(ROOT.parent.parent)}")
+        print(f"{count:6d}  {path.relative_to(src)}")
     print(f"{total:6d}  total")
     return 0
 
