@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 from .entanglement import AntisymW
 from .integrals import integral_set, integral_table
-from .specfun import MATH_XP, _binary_entropy, _is_real, _require_positive, numpy_xp
+from .specfun import MATH_XP, _as_float, _binary_entropy, _is_real, _require_positive, numpy_xp
 
 __all__ = [
     "E1S",
@@ -200,10 +200,11 @@ def ci_table(s, variant: str = "corrected") -> CiSolution:
 
 def _check_coefficients(c1: float, c2: float, name: str) -> tuple:
     """(float(c1), float(c2)), normalized in float64; a narrower float, such
-    as numpy's float32, is checked and then used at float64 precision."""
+    as numpy's float32, is checked and then used at float64 precision, and a
+    real past the float range is refused as not normalized."""
     if not (_is_real(c1) and _is_real(c2)):
         raise ValueError(f"{name} requires real c1 and c2, got {c1!r} and {c2!r}")
-    c1, c2 = float(c1), float(c2)
+    c1, c2 = _as_float(c1), _as_float(c2)
     # written so that NaN fails it too
     if not abs(c1 * c1 + c2 * c2 - 1.0) <= _COEFF_NORM_TOL:
         raise ValueError(f"{name} requires c1^2 + c2^2 = 1, got {c1 * c1 + c2 * c2!r}")

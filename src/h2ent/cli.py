@@ -12,12 +12,18 @@ checked or evaluated and caught once, in main, which prints one
 diagnostics go to stderr.  Output is deterministic:
 identical arguments give byte-identical bytes.  `scan` and `figure` accept
 --parallel N (an integer >= 1) for compatibility; evaluation is always
-serial.  `point` never loads numpy, and neither does `figure --which fig3`,
-nor do `scan` and `figure` on grids of at most h2ent.scan.SCALAR_ROWS
-points, which they evaluate point by point; larger grids import it where
-their arrays start, and the oracle, which needs it throughout, is imported
-by `verify` alone.  The `verify` report is a function of --h22 alone: its
+serial.
+
+`figure --which WHICH` prints one of the paper's four figures on its fixed
+grid, h2ent.scan.FIGURE_CONFIGS[WHICH]; `scan` prints every column on any
+grid, unit and H22 variant.  `verify` takes no option and prints one fixed
+report: it counts the corrected H22 and flags the printed one, and its
 Monte Carlo estimates use the fixed MC_SEED and MC_SAMPLES.
+
+`point` never loads numpy, and neither does `figure`, nor does `scan` on
+grids of at most h2ent.scan.SCALAR_ROWS points, which it evaluates point by
+point; larger grids import it where their arrays start, and the oracle,
+which needs it throughout, is imported by `verify` alone.
 """
 
 import argparse
@@ -30,9 +36,9 @@ import sys
 
 from . import __version__
 from .ci import H22_VARIANTS
-from .integrals import coulomb_j, exchange_k, hybrid_l, one_center_m, overlap, jprime, kprime
-from .scan import (FIG3_DEFAULT_STEPS, FIGURES, SCAN_FIELDS, ScanConfig, UNIT_FACTORS,
-                   grid_rows, record_at, render_blocks, scan_table)
+from .integrals import integral_set
+from .scan import (FIGURE_CONFIGS, FIGURES, SCAN_FIELDS, ScanConfig, UNIT_FACTORS, grid_rows,
+                   record_at, render_blocks, scan_table)
 from .specfun import exp_integral_e1
 
 __all__ = ["main", "run", "build_parser"]
@@ -53,13 +59,11 @@ MC_SEED = 42          # the seed of the first Monte Carlo estimate; estimate i u
 MC_SAMPLES = 500_000  # samples per estimate: enough that each sigma is within MC_SIGMA_MAX
 ARBITRATION_TARGET = -0.237   # rydberg, relative to 2 E1s
 ARBITRATION_TOL = 0.010
-# smallest reduced distance point/scan/figure accept: the H22 closed form
+VERIFY_VARIANT = "corrected"  # the H22 variant verify counts; it flags the others
+# smallest reduced distance point and scan accept: the H22 closed form
 # is off by 1.4e-6 relative at s = 1e-2 and by 9% at 1e-3, and below about
 # 1e-8 the energies run off to -1e19 or divide by zero
 MIN_DISTANCE = 1e-2
-
-_CLOSED = {"overlap": overlap, "jprime": jprime, "kprime": kprime,
-           "j": coulomb_j, "k": exchange_k, "l": hybrid_l, "m": lambda s: one_center_m()}
 
 
 def _err(msg: str) -> None:
@@ -111,10 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"h2e {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_unit=True):
-        if with_unit:
-            sp.add_argument("--unit", choices=sorted(UNIT_FACTORS), default="rydberg",
-                            help="output energy unit (default: rydberg)")
+    def add_common(sp):
+        sp.add_argument("--unit", choices=sorted(UNIT_FACTORS), default="rydberg",
+                        help="output energy unit (default: rydberg)")
         sp.add_argument("--h22", choices=list(H22_VARIANTS), default="corrected",
                         help="second-configuration energy variant (default: corrected)")
 
@@ -138,17 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("figure", help="emit plot-ready data for the standard figures")
     sp.add_argument("--which", choices=list(FIGURES), required=True,
-                    help="fig3 is the concurrence over c1 in [0, 1]: of --s-min, --s-max, "
-                         "--steps, --unit and --h22 it reads only --steps")
-    sp.add_argument("--s-min", type=float, default=ScanConfig.s_min)
-    sp.add_argument("--s-max", type=float, default=ScanConfig.s_max)
-    sp.add_argument("--steps", type=int, default=None,
-                    help=f"grid size (default: {ScanConfig.steps}; fig3: {FIG3_DEFAULT_STEPS})")
-    add_common(sp)
+                    help="fig1, fig2 and fig4: 400 points of s in [0.5, 10], rydberg, "
+                         "corrected H22; fig3: the concurrence at 2001 points of c1 in [0, 1]")
     add_output(sp)
 
-    sp = sub.add_parser("verify", help="check closed forms against the numerical oracle")
-    add_common(sp, with_unit=False)
+    sub.add_parser("verify", help="check closed forms against the numerical oracle")
     return p
 
 
@@ -214,16 +211,10 @@ def _cmd_point(args) -> int:
     return _write_output(["\n".join(lines) + "\n"], None)
 
 
-def _cmd_grid(args, which: str, steps: int, fmt: str) -> int:
-    """`scan` (which = "scan") or `figure --which WHICH`."""
-    if which == "fig3":  # a grid of c1, not of distances
-        config = ScanConfig(steps=steps)
-    else:
-        config = ScanConfig(s_min=args.s_min, s_max=args.s_max, steps=steps,
-                            unit=args.unit, h22_variant=args.h22)
-        _check_distance("--s-min", config.s_min)
+def _cmd_grid(which: str, config: ScanConfig, fmt: str, out_path) -> int:
+    """`scan` (which = "scan") or `figure --which WHICH` on config's grid."""
     fields, rows = _evaluate(grid_rows, which, config)
-    return _write_output(render_blocks(fields, rows, fmt), args.out)
+    return _write_output(render_blocks(fields, rows, fmt), out_path)
 
 
 def _ci_minimum(variant: str):
@@ -237,23 +228,25 @@ def _ci_minimum(variant: str):
     return float(e_ci[best]), float(table[best, 0])
 
 
-def _verify_lines(h22: str):
-    """The verify report for the variant under test, one (text, ok) pair per
-    line: ok is the verdict of the check the line reports, which the report
-    appends as PASS or FAIL, or None for a line printed as it is."""
+def _verify_lines():
+    """The verify report, one (text, ok) pair per line: ok is the verdict of
+    the check the line reports, which the report appends as PASS or FAIL, or
+    None for a line printed as it is.  Every closed value is a field of
+    integral_set."""
     import numpy as np
 
     from .oracle import mc_two_electron, oracle_e1, quad_one_electron, quad_two_electron
 
     yield "h2e verify: closed forms vs independent numerical oracle", None
     yield f"backend: numpy   seed: {MC_SEED}   samples: {MC_SAMPLES}", None
-    yield f"h22 variant under test: {h22}", None
+    yield f"h22 variant under test: {VERIFY_VARIANT}", None
     yield "", None
 
     yield f"[1] one-electron integrals, double-exponential quadrature (tol {QUAD_TOL:.0e})", None
     for s in VERIFY_S_GRID:
-        for kind, label in (("overlap", "S "), ("jprime", "j'"), ("kprime", "k'")):
-            closed = _CLOSED[kind](s)
+        q = integral_set(s)
+        for kind, label, closed in (("overlap", "S ", q.S), ("jprime", "j'", q.jp),
+                                    ("kprime", "k'", q.kp)):
             orc = quad_one_electron(kind, s)
             diff = abs(closed - orc)
             yield (f"  s={s:<5g} {label} closed={closed: .12e}  oracle={orc: .12e}"
@@ -267,7 +260,7 @@ def _verify_lines(h22: str):
     yield (f"[2] two-electron integrals, importance-sampled Monte Carlo "
            f"(3 sigma, sigma <= {MC_SIGMA_MAX:.0e})"), None
     for offset, (label, kind, s) in enumerate(checks):
-        closed = _CLOSED[kind](s)
+        closed = getattr(integral_set(s), kind)
         est = mc_two_electron(kind, s, MC_SAMPLES, MC_SEED + offset)
         diff = abs(closed - est.mean)
         yield (f"  {label}  closed={closed: .9f}  mc={est.mean: .9f}"
@@ -278,7 +271,7 @@ def _verify_lines(h22: str):
     yield (f"[3] two-electron integrals, double-exponential quadrature "
            f"(relative tol {TWO_ELECTRON_REL_TOL:.0e})"), None
     for label, kind, s in checks:
-        closed = _CLOSED[kind](s)
+        closed = getattr(integral_set(s), kind)
         orc = quad_two_electron(kind, s)
         rel = abs(closed - orc) / orc
         yield (f"  {label}  closed={closed: .12e}  quad={orc: .12e}"
@@ -301,14 +294,14 @@ def _verify_lines(h22: str):
         dev = abs(e_min - ARBITRATION_TARGET)
         ok = dev <= ARBITRATION_TOL
         text = f"  {variant:<9} min={e_min: .6f} at s={s_min:.4f}  |dev|={dev:.4f}"
-        if variant != h22:  # reported, not counted
+        if variant != VERIFY_VARIANT:  # reported, not counted
             text, ok = f"{text}  {'ok  ' if ok else 'FLAG'}", None
         yield text, ok
     yield "", None
 
 
-def _cmd_verify(h22: str) -> int:
-    report = list(_verify_lines(h22))
+def _cmd_verify() -> int:
+    report = list(_verify_lines())
     failures = sum(ok is not None and not ok for _, ok in report)
     lines = [text if ok is None else f"{text}  {'PASS' if ok else 'FAIL'}" for text, ok in report]
     lines.append(f"result: {'PASS' if failures == 0 else f'FAIL ({failures} checks)'}")
@@ -330,12 +323,12 @@ def main(argv=None) -> int:
         if args.command == "point":
             return _cmd_point(args)
         if args.command == "scan":
-            return _cmd_grid(args, "scan", args.steps, args.format)
+            config = ScanConfig(args.s_min, args.s_max, args.steps, args.unit, args.h22)
+            _check_distance("--s-min", config.s_min)
+            return _cmd_grid("scan", config, args.format, args.out)
         if args.command == "figure":
-            default = FIG3_DEFAULT_STEPS if args.which == "fig3" else ScanConfig.steps
-            steps = default if args.steps is None else args.steps
-            return _cmd_grid(args, args.which, steps, "csv")
-        return _cmd_verify(args.h22)
+            return _cmd_grid(args.which, FIGURE_CONFIGS[args.which], "csv", args.out)
+        return _cmd_verify()
     except MemoryError as exc:
         _err(f"input too large for the available memory ({exc})")
         return EXIT_USAGE

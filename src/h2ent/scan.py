@@ -11,9 +11,10 @@ every field is finite; scan_table evaluates a grid as one (n, 8) float64
 table over numpy.  Both derive the seven columns after s from the CI
 solution with one helper.  A ScanConfig is checked when it is made, so
 every one in hand is valid.  grid_rows gives the rows of `h2e scan` and
-`h2e figure`: point by point through record_at for a grid of at most
-SCALAR_ROWS points, where importing numpy would cost more than the whole
-evaluation, and as the scan_table array above that.  fig3 is a closed form
+of `h2e figure`, which prints each figure on its grid in FIGURE_CONFIGS:
+point by point through record_at for a grid of at most SCALAR_ROWS
+points, where importing numpy would cost more than the whole evaluation,
+and as the scan_table array above that.  fig3 is a closed form
 of c1 alone, under 1 us a row, and is a list of rows over `math` at every
 grid size.
 render_blocks formats a table or a list of rows RENDER_ROWS rows at a time,
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .ci import E1S, _check_variant, _ground_concurrence, _ground_entropy, ci_solve, ci_table
-from .specfun import MATH_XP, _is_integer, _is_real, _require_positive, numpy_xp
+from .specfun import MATH_XP, _as_float, _is_integer, _require_positive, numpy_xp
 
 __all__ = [
     "UNIT_FACTORS",
@@ -42,6 +43,7 @@ __all__ = [
     "render_blocks",
     "grid_rows",
     "FIGURES",
+    "FIGURE_CONFIGS",
     "SCALAR_ROWS",
 ]
 
@@ -50,15 +52,6 @@ __all__ = [
 UNIT_FACTORS = {"hartree": 1.0, "rydberg": 2.0, "ev": 27.211386245988}
 
 SCAN_FIELDS = ("s", "e_psi1", "e_psi2", "e_ci", "c1_sq", "c2_sq", "concurrence", "entropy")
-
-# the columns of each standard figure
-FIGURE_FIELDS = {"fig1": ("s", "e_psi1", "e_ci"), "fig2": ("s", "c1_sq", "c2_sq"),
-                 "fig3": ("c1", "concurrence"), "fig4": ("s", "e_ci", "concurrence")}
-FIGURES = tuple(FIGURE_FIELDS)
-
-# fig3 samples the closed-form concurrence over c1 in [0, 1]; the default
-# grid is dense enough that the node nearest 1/sqrt(2) reads 1 - O(1e-7)
-FIG3_DEFAULT_STEPS = 2001
 
 # rows per render call in render_blocks: the text of a block is about 0.3 MB
 # of CSV or 0.6 MB of JSON; smaller blocks peak no lower, larger ones
@@ -104,19 +97,20 @@ class ScanConfig:
     h22_variant: str = "corrected"
 
     def __post_init__(self) -> None:
+        # kept as Python numbers: numpy's float32 bounds would build the grid
+        # in float32 (NEP 50), off s_min + i h by 1e-8 and past s_max
         for name in ("s_min", "s_max"):
             bound = getattr(self, name)
-            if not (_is_real(bound) and math.isfinite(bound) and bound > 0.0):
+            value = _as_float(bound)
+            if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {bound!r}")
+            object.__setattr__(self, name, value)
         if not self.s_min < self.s_max:
             raise ValueError(f"need s_min < s_max, got {self.s_min!r} >= {self.s_max!r}")
         _check_steps(self.steps)
         _check_unit(self.unit)
         _check_variant(self.h22_variant)
-        # kept as Python numbers: numpy's float32 bounds would build the grid
-        # in float32 (NEP 50), off s_min + i h by 1e-8 and past s_max
-        for name, kind in (("s_min", float), ("s_max", float), ("steps", int)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "steps", int(self.steps))
 
 
 def _check_steps(steps) -> None:
@@ -130,6 +124,19 @@ def _check_unit(unit: str) -> None:
     # a str first: an unhashable unit would raise a TypeError in the dict
     if not isinstance(unit, str) or unit not in UNIT_FACTORS:
         raise ValueError(f"unknown unit {unit!r}; expected one of {tuple(UNIT_FACTORS)}")
+
+
+# the columns of each standard figure
+FIGURE_FIELDS = {"fig1": ("s", "e_psi1", "e_ci"), "fig2": ("s", "c1_sq", "c2_sq"),
+                 "fig3": ("c1", "concurrence"), "fig4": ("s", "e_ci", "concurrence")}
+FIGURES = tuple(FIGURE_FIELDS)
+
+# the grid `h2e figure` prints each figure on: ScanConfig's defaults, 400
+# points of s in [0.5, 10] in rydberg with the corrected H22, and for fig3
+# 2001 points of c1 in [0, 1], dense enough that the node nearest 1/sqrt(2)
+# reads 1 - O(1e-7)
+FIGURE_CONFIGS = {which: ScanConfig(steps=2001) if which == "fig3" else ScanConfig()
+                  for which in FIGURES}
 
 
 def _columns(sol, factor, xp):

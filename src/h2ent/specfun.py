@@ -67,13 +67,24 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _as_float(x) -> float:
+    """float(x) for a real number x, +-inf for one past the float range (such
+    as 10**400 or Fraction(10**400, 3), where float() raises an
+    OverflowError), and nan for anything that is not a real number."""
+    if not _is_real(x):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _require_positive(x, who: str, name: str = "s", or_zero: bool = False) -> float:
     """float(x), if x is a real number, finite and > 0 (or >= 0, with
     or_zero); otherwise a ValueError naming who refused which argument."""
-    if _is_real(x):
-        x = float(x)
-        if math.isfinite(x) and (x > 0.0 or or_zero and x == 0.0):
-            return x
+    value = _as_float(x)
+    if math.isfinite(value) and (value > 0.0 or or_zero and value == 0.0):
+        return value
     raise ValueError(f"{who} requires finite {name} {'>=' if or_zero else '>'} 0, got {x!r}")
 
 
@@ -201,9 +212,10 @@ def binary_entropy(p: float) -> float:
         If ``p`` is not a real number (a bool, a string or a complex
         included) or lies outside [0, 1].
     """
-    if not (_is_real(p) and 0.0 <= float(p) <= 1.0):
+    value = _as_float(p)
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"binary_entropy requires p in [0, 1], got {p!r}")
-    return _binary_entropy(float(p), MATH_XP)
+    return _binary_entropy(value, MATH_XP)
 
 
 def _binary_entropy(p, xp):

@@ -12,6 +12,7 @@ from h2ent.integrals import integral_set, integral_table
 from h2ent.scan import record_at
 from h2ent.specfun import MATH_XP, binary_entropy, numpy_xp
 from test_scalar_golden import DISTANCES
+from test_specfun import BEYOND_FLOAT
 
 SQ2 = math.sqrt(0.5)
 GRID = np.linspace(0.3, 8.0, 60)
@@ -353,6 +354,15 @@ def test_coefficient_functions_refuse_non_real_coefficients(name, c1, c2):
     # complex an entropy of (1.94+0j), and w_from_ci a bare TypeError
     with pytest.raises(ValueError, match=rf"^{name} requires real c1 and c2, got "):
         COEFFICIENT_FUNCTIONS[name](c1, c2)
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_FUNCTIONS))
+@pytest.mark.parametrize("big", BEYOND_FLOAT)
+def test_coefficient_functions_refuse_reals_past_the_float_range(name, big):
+    # 10**400 raised an OverflowError
+    for c1, c2 in ((big, 0.0), (0.6, big)):
+        with pytest.raises(ValueError, match=rf"^{name} requires c1\^2 \+ c2\^2 = 1, got inf$"):
+            COEFFICIENT_FUNCTIONS[name](c1, c2)
 
 
 def test_coefficient_functions_take_numpy_floats():

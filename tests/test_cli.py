@@ -14,7 +14,8 @@ import pytest
 import h2ent.cli
 import h2ent.scan
 from h2ent.cli import main
-from h2ent.scan import SCALAR_ROWS, SCAN_FIELDS, grid_values, record_at
+from h2ent.scan import (FIGURE_CONFIGS, SCALAR_ROWS, SCAN_FIELDS, ScanConfig, grid_rows,
+                        grid_values, record_at)
 
 HEADER = "s,e_psi1,e_psi2,e_ci,c1_sq,c2_sq,concurrence,entropy"
 
@@ -88,11 +89,12 @@ def test_point_rejects_nonpositive_distance(capsys):
     (["point"], "--s", "--s must be finite and > 0"),
     (["scan", "--s-max", "1", "--steps", "3"], "--s-min", "s_min must be finite and > 0"),
     (["scan", "--s-min", "1", "--steps", "3"], "--s-max", "s_max must be finite and > 0"),
-    (["figure", "--which", "fig1"], "--s-min", "s_min must be finite and > 0"),
+    # two negative bounds in one argv: both are joined, and s_min is refused first
+    (["scan", "--s-max", "-1e-2", "--steps", "3"], "--s-min", "s_min must be finite and > 0"),
     # abbreviations argparse accepts
     (["scan", "--s-max", "1", "--steps", "3"], "--s-mi", "s_min must be finite and > 0"),
     (["scan", "--s-min", "1", "--steps", "3"], "--s-ma", "s_max must be finite and > 0"),
-    (["figure", "--which", "fig1"], "--s-mi", "s_min must be finite and > 0"),
+    (["scan", "--s-ma", "-1e-2", "--steps", "3"], "--s-mi", "s_min must be finite and > 0"),
 ])
 @pytest.mark.parametrize("value", ["-1e-3", "-1E5", "-.5e1", "-1.", "-inf"])
 def test_negative_float_options_refuse_alike_in_either_form(command, option, message, value,
@@ -148,7 +150,7 @@ def test_point_accepts_distance_at_floor(capsys):
 @pytest.mark.parametrize("command", [
     ["scan", "--s-min", "1e-3", "--s-max", "1", "--steps", "5"],
     ["scan", "--s-min", "1.585e-9", "--s-max", "0.5", "--steps", "50", "--format", "json"],
-    ["figure", "--which", "fig1", "--s-min", "1e-4"],
+    ["scan", "--s-min", "0.00999", "--s-max", "10", "--steps", str(SCALAR_ROWS + 1)],
 ])
 def test_grid_commands_refuse_grid_starting_below_floor(command, capsys):
     code, out, err = run_cli(command, capsys)
@@ -170,10 +172,11 @@ def test_point_refuses_non_finite_record(capsys, monkeypatch):
 @pytest.mark.parametrize("command", [
     ["scan", "--s-min", "600", "--s-max", "800", "--steps", "5"],
     ["scan", "--s-min", "1e-9", "--s-max", "1", "--steps", "5", "--format", "json"],
-    ["figure", "--which", "fig4", "--s-min", "1", "--s-max", "800", "--steps", "5"],
+    ["scan", "--s-min", "1", "--s-max", "800", "--steps", str(SCALAR_ROWS + 1)],
 ])
 def test_grid_commands_refuse_unevaluable_distances(command):
-    # in a fresh interpreter, so that any warning would reach stderr
+    # in a fresh interpreter, so that any warning, numpy's on the array path
+    # included, would reach stderr
     proc = run_python(["-m", "h2ent", *command])
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -184,7 +187,6 @@ def test_grid_commands_refuse_unevaluable_distances(command):
 @pytest.mark.parametrize("command", [
     ["scan", "--s-min", "0.5", "--s-max", "2e12", "--steps", "5000"],
     ["scan", "--s-min", "0.5", "--s-max", "4e307", "--steps", "5000"],
-    ["figure", "--which", "fig1", "--s-min", "0.5", "--s-max", "2e307", "--steps", "4097"],
 ])
 def test_array_grid_reaching_huge_distances_is_refused_without_traceback(command):
     # the array path evaluates E1 at 2s and 4s, where its continued fraction
@@ -314,10 +316,10 @@ def test_grid_commands_refuse_non_finite_bounds(option, value, capsys):
     # --s-max inf said "s_max must be > 0, got inf"
     bounds = {"--s-min": "1", "--s-max": "2", option: value}
     name = option[2:].replace("-", "_")
-    for command in (["scan", "--steps", "3"], ["figure", "--which", "fig1"]):
-        code, out, err = run_cli(command + [x for kv in bounds.items() for x in kv], capsys)
-        assert code == 2 and out == ""
-        assert err == f"h2e: error: {name} must be finite and > 0, got {float(value)!r}\n"
+    code, out, err = run_cli(["scan", "--steps", "3", *[x for kv in bounds.items() for x in kv]],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err == f"h2e: error: {name} must be finite and > 0, got {float(value)!r}\n"
 
 
 def test_grid_commands_document_out_and_parallel_alike(capsys):
@@ -368,7 +370,7 @@ def test_scan_output_independent_of_parallel(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["scan", "--s-min", "0.5", "--s-max", "6", "--steps", "20"],
-    ["figure", "--which", "fig1", "--steps", "20"]], ids=["scan", "figure"])
+    ["figure", "--which", "fig1"]], ids=["scan", "figure"])
 def test_parallel_option_contract(command, capsys, monkeypatch):
     # --parallel takes an integer >= 1 and changes nothing; no environment
     # variable stands in for it
@@ -395,9 +397,12 @@ def test_figure_column_sets(capsys):
         "fig4": "s,e_ci,concurrence",
     }
     for which, header in expectations.items():
-        code, out, _ = run_cli(["figure", "--which", which, "--steps", "41"], capsys)
+        code, out, _ = run_cli(["figure", "--which", which], capsys)
         assert code == 0
         assert out.split("\n", 1)[0] == header
+        # the columns at any grid size, through the library
+        fields, _ = grid_rows(which, ScanConfig(steps=41))
+        assert ",".join(fields) == header
 
 
 def test_figure_fig3_peak_at_inverse_sqrt2(capsys):
@@ -413,10 +418,8 @@ def test_figure_fig3_peak_at_inverse_sqrt2(capsys):
     assert max(cons) <= 1.0 + 1e-15
 
 
-def test_figure_fig1_separated_atom_limit(capsys):
-    _, out, _ = run_cli(["figure", "--which", "fig1", "--s-min", "0.5",
-                         "--s-max", "10", "--steps", "96"], capsys)
-    header, rows = parse_csv(out)
+def test_figure_fig1_separated_atom_limit():
+    _, rows = grid_rows("fig1", ScanConfig(s_min=0.5, s_max=10.0, steps=96))
     last = rows[-1]
     # CI curve dissociates to two neutral atoms; single-configuration curve
     # is still offset by its ionic m/2 - 1/(2s) tail (0.625 Ry only as s->inf)
@@ -429,29 +432,38 @@ def test_figure_outputs_reproducible_across_runs_and_parallel(tmp_path, capsys):
         paths = []
         for tag, parallel in (("a", "1"), ("b", "2"), ("c", "1")):
             p = tmp_path / f"{which}_{tag}.csv"
-            args = ["figure", "--which", which, "--steps", "60", "--out", str(p),
-                    "--parallel", parallel]
+            args = ["figure", "--which", which, "--out", str(p), "--parallel", parallel]
             assert run_cli(args, capsys)[0] == 0
             paths.append(p)
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
 
-@pytest.mark.parametrize("s_min", ["1e-3", "20"])
-def test_figure_fig3_reads_only_steps(s_min, capsys):
-    # fig3's grid is c1 in [0, 1]: --s-min 1e-3 was refused as below the
-    # distance floor, and 20 as not below --s-max
-    code, out, err = run_cli(["figure", "--which", "fig3", "--s-min", s_min], capsys)
-    assert (code, err) == (0, "")
-    assert out == (pathlib.Path(__file__).parent / "data" / "figure_fig3.csv").read_text(
-        encoding="utf-8")
-    code, out, err = run_cli(["figure", "--which", "fig1", "--s-min", s_min], capsys)
-    assert code == 2 and out == ""
-    assert "it reads only --steps" in " ".join(run_cli(["figure", "--help"], capsys)[1].split())
-
-
 def test_figure_rejects_unknown_name(capsys):
     assert run_cli(["figure", "--which", "fig9"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("which", ["fig1", "fig3"])
+@pytest.mark.parametrize("option, value", [
+    ("--s-min", "0.5"), ("--s-min", "-1e-3"), ("--s-max", "10"), ("--steps", "41"),
+    ("--unit", "ev"), ("--h22", "printed")])
+def test_figure_takes_no_grid_unit_or_variant_option(which, option, value, capsys):
+    # each figure has one grid; scan, or grid_rows in the library, takes any
+    joined = f"{option}={value}" if value.startswith("-") else f"{option} {value}"
+    code, out, err = run_cli(["figure", "--which", which, option, value], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"h2e: error: unrecognized arguments: {joined}\n")
+
+
+def test_figure_help_names_each_fixed_grid(capsys):
+    code, out, _ = run_cli(["figure", "--help"], capsys)
+    assert code == 0
+    text = " ".join(out.split())
+    grid, fig3 = FIGURE_CONFIGS["fig1"], FIGURE_CONFIGS["fig3"]
+    assert all(FIGURE_CONFIGS[which] == grid for which in ("fig2", "fig4"))
+    assert (f"fig1, fig2 and fig4: {grid.steps} points of s in [{grid.s_min:g}, "
+            f"{grid.s_max:g}], {grid.unit}, {grid.h22_variant} H22; fig3: the concurrence "
+            f"at {fig3.steps} points of c1 in [0, 1]") in text
 
 
 # ---------------------------------------------------------------- verify
@@ -489,14 +501,6 @@ def test_verify_flags_printed_variant(capsys, monkeypatch):
     assert "PASS" in corrected_row
 
 
-def test_verify_selected_printed_variant_fails(capsys, monkeypatch):
-    small_verify(monkeypatch, 20_000, seed=7)
-    code, out, _ = run_cli(["verify", "--h22", "printed"], capsys)
-    assert code == 1
-    printed_row = next(ln for ln in out.split("\n") if ln.strip().startswith("printed"))
-    assert "FAIL" in printed_row
-
-
 def test_verify_output_is_pinned(capsys, monkeypatch):
     # 100003 samples span several oracle blocks plus a short tail; the file
     # holds the report of the one-array implementation, byte for byte.  At
@@ -525,7 +529,6 @@ def test_verify_passes_at_its_defaults(capsys):
 
 @pytest.mark.parametrize("command", [
     ["scan", "--s-min", "1", "--s-max", "2", "--steps", "1000000000000000"],
-    ["figure", "--which", "fig1", "--steps", "1000000000000000"],
 ])
 def test_commands_refuse_sizes_beyond_memory(command, capsys):
     # 1e15 elements (8 PB): numpy refuses the array before it allocates any
@@ -537,9 +540,11 @@ def test_commands_refuse_sizes_beyond_memory(command, capsys):
 
 
 def test_verify_rejects_bad_arguments(capsys):
-    # the Monte Carlo seed and sample count are constants, not options
+    # the Monte Carlo seed and sample count are constants, not options, and
+    # so is the H22 variant the report counts
     for option, value in (("--seed", "7"), ("--seed", "-3"), ("--samples", "10"),
-                          ("--samples", "1000000000000000")):
+                          ("--samples", "1000000000000000"), ("--h22", "corrected"),
+                          ("--h22", "printed")):
         code, out, err = run_cli(["verify", option, value], capsys)
         assert (code, out) == (2, "")
         assert err.endswith(f"h2e: error: unrecognized arguments: {option} {value}\n")
@@ -548,9 +553,9 @@ def test_verify_rejects_bad_arguments(capsys):
 def test_verify_result_counts_the_failed_lines(capsys, monkeypatch):
     # an offset S fails its six quadrature lines in [1], an offset k its
     # Monte Carlo and quadrature lines in [2] and [3]
-    for kind in ("overlap", "k"):
-        monkeypatch.setitem(h2ent.cli._CLOSED, kind,
-                            lambda s, closed=h2ent.cli._CLOSED[kind]: closed(s) + 0.01)
+    real = h2ent.cli.integral_set
+    monkeypatch.setattr(h2ent.cli, "integral_set", lambda s: dataclasses.replace(
+        real(s), S=real(s).S + 0.01, k=real(s).k + 0.01))
     small_verify(monkeypatch, 10_000)
     code, out, _ = run_cli(["verify"], capsys)
     failed = [ln for ln in out.splitlines() if ln.endswith("FAIL")]
@@ -662,9 +667,9 @@ def test_point_and_scan_do_not_import_scipy():
 
 def test_point_does_not_import_numpy():
     # numpy loads where arrays start: not for the package, the CLI or point,
-    # accepted or refused, nor for scan and figure grids of at most
-    # SCALAR_ROWS points, the defaults among them, nor for fig3 at any size;
-    # the oracle's names resolve on first access
+    # accepted or refused, nor for figure, nor for scan grids of at most
+    # SCALAR_ROWS points, nor for fig3's rows at any size; the oracle's names
+    # resolve on first access
     code = ("import sys, io, contextlib\n"
             "import h2ent\n"
             "assert 'numpy' not in sys.modules, 'import h2ent'\n"
@@ -682,10 +687,11 @@ def test_point_does_not_import_numpy():
             "for argv in (['scan', *grid, '400'], ['scan', *grid, '400', '--format', 'json'],\n"
             "             ['figure', '--which', 'fig1'], ['figure', '--which', 'fig2'],\n"
             "             ['figure', '--which', 'fig3'], ['figure', '--which', 'fig4'],\n"
-            "             ['scan', *grid, str(SCALAR_ROWS)],\n"
-            "             ['figure', '--which', 'fig3', '--steps', '5000']):\n"
+            "             ['scan', *grid, str(SCALAR_ROWS)]):\n"
             "    run(argv)\n"
             "    assert 'numpy' not in sys.modules, argv\n"
+            "h2ent.scan.grid_rows('fig3', h2ent.scan.ScanConfig(steps=5000))\n"
+            "assert 'numpy' not in sys.modules, 'fig3 at 5000 steps'\n"
             "run(['scan', '--s-min', '600', '--s-max', '800', '--steps', '5'], 2)\n"
             "assert 'numpy' not in sys.modules, 'refused scan'\n"
             "run(['scan', *grid, str(SCALAR_ROWS + 1)])\n"

@@ -1,11 +1,13 @@
 """Property test of the scalar library's domain: at every positive finite
-float s, each public scalar function of s returns finite fields or raises a
-ValueError, never a NaN, an inf or a bare ArithmeticError."""
+float s, and at reals past the float range, each public scalar function of s
+returns finite fields or raises a ValueError, never a NaN, an inf or a bare
+ArithmeticError."""
 
 import dataclasses
 import functools
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +32,8 @@ for _variant in H22_VARIANTS:
 # from 1.34e154 (S and j were NaN there)
 EDGES = (5e-324, 1e-309, 1.7e-309, 1.75e-309, 1e-9, 2.08e-9, 3.4e-8, 1e-2, 697.78, 697.79,
          700.0, 709.78, 710.0, 800.0, 1.34e154, 1.35e154, 1e200, sys.float_info.max)
+# reals float() cannot hold, which raised an OverflowError
+BEYOND_FLOAT = (10 ** 400, -10 ** 400, Fraction(10 ** 400, 3))
 
 
 def _fields(value):
@@ -37,7 +41,7 @@ def _fields(value):
 
 
 def _examples(test):
-    for s in EDGES:
+    for s in EDGES + BEYOND_FLOAT:
         test = hypothesis.example(s=s)(test)
     return test
 

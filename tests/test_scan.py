@@ -16,9 +16,11 @@ import mpref
 from h2ent.cli import main
 from h2ent.scan import (SCALAR_ROWS, SCAN_FIELDS, ScanConfig, grid_rows, grid_values,
                         record_at, render_blocks, render_csv, render_json, scan_table)
+from test_specfun import BEYOND_FLOAT
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEFAULT_GRID = ["--s-min", "0.5", "--s-max", "10", "--steps", "400"]
+FIG3_STEPS = scan.FIGURE_CONFIGS["fig3"].steps
 
 # bytes of the scalar pipeline (record_at per point), which `h2e` runs on
 # these grids of at most SCALAR_ROWS points
@@ -74,8 +76,7 @@ def array_path_text(name):
         config = ScanConfig(0.5, 10.0, 400, "rydberg", variant_of(name))
         return render_csv(*array_rows("scan", config))
     which = command[command.index("--which") + 1]
-    config = ScanConfig(steps=scan.FIG3_DEFAULT_STEPS if which == "fig3" else 400)
-    return render_csv(*array_rows(which, config))
+    return render_csv(*array_rows(which, scan.FIGURE_CONFIGS[which]))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -349,12 +350,12 @@ def test_grid_rows_within_the_threshold_are_record_at(variant, unit):
 def test_grid_points_are_those_of_grid_values():
     # s_min + i h in Python floats is the array's s_min + arange(n) * h
     for s_min, s_max, steps in ((0.305, 19.995, SCALAR_ROWS), (0.01, 650.0, 3001),
-                                (1.0, 1.0 + 1e-9, 17), (0.0, 1.0, scan.FIG3_DEFAULT_STEPS)):
+                                (1.0, 1.0 + 1e-9, 17), (0.0, 1.0, FIG3_STEPS)):
         h = (s_max - s_min) / (steps - 1)
         assert [s_min + i * h for i in range(steps)] == grid_values(s_min, s_max, steps).tolist()
 
 
-@pytest.mark.parametrize("steps", [2, 7, scan.FIG3_DEFAULT_STEPS, SCALAR_ROWS, SCALAR_ROWS + 1])
+@pytest.mark.parametrize("steps", [2, 7, FIG3_STEPS, SCALAR_ROWS, SCALAR_ROWS + 1])
 def test_fig3_rows_have_the_bits_of_figure_table(steps):
     # the figure's table: its closed form 2 |c1| sqrt(1 - c1^2) over numpy on
     # the points of grid_values; sqrt is correctly rounded, so math gives the
@@ -386,6 +387,15 @@ def test_grid_rows_name_the_first_non_finite_point(steps):
     assert all(np.isfinite(record_at(x).values()).all() for x in grid[max(first - 3, 0):first])
 
 
+def test_array_path_figure_columns_refuse_huge_distances():
+    # the figure's columns of the array path: E1's continued fraction did
+    # not converge at 4 s = 1.37e305, which raised a RuntimeError
+    steps = SCALAR_ROWS + 1
+    with pytest.raises(ValueError, match=r"^non-finite result at s = ") as info:
+        grid_rows("fig1", ScanConfig(0.5, 2e307, steps))
+    assert float(str(info.value).rsplit(" = ", 1)[1]) in grid_values(0.5, 2e307, steps).tolist()
+
+
 # s -> the cause record_at chains: hamiltonian_block refuses to divide by
 # 1 - S^2 = 0 below s ~ 3.4e-8, and integral_set refuses k past s = 697.79,
 # where S' overflows (it gave c1 = nan at 700 and an OverflowError of exp(s)
@@ -414,11 +424,12 @@ def test_record_at_refuses_bad_arguments_as_such():
 @pytest.mark.parametrize("bound", ["s_min", "s_max"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "1", None, 1j,
                                    np.complex128(1 + 5j), True, np.True_, np.complex64(1 + 3j),
-                                   np.clongdouble(1 + 3j)])
+                                   np.clongdouble(1 + 3j), *BEYOND_FLOAT])
 def test_scan_config_refuses_non_finite_bounds(bound, value):
     # s_min = 1, s_max = inf said "s_max must be > 0, got inf"; "1", None
     # and 1j raised a TypeError, and True and numpy's 1+5j ran as 1.0; numpy's
-    # bool_ ran as 1.0, and its complex64 and clongdouble 1+3j were kept
+    # bool_ ran as 1.0, and its complex64 and clongdouble 1+3j were kept;
+    # 10**400 raised an OverflowError
     other = {"s_min": 1.0, "s_max": 2.0}
     message = rf"^{bound} must be finite and > 0, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from h2ent.specfun import EULER_GAMMA, binary_entropy, exp_integral_e1, exp_inte
 
 # (who, argument name, call with the argument) of every public function
 # that refuses an argument that is not finite and > 0 by one message
+# real numbers past the float range, where float() raises an OverflowError
+BEYOND_FLOAT = [pytest.param(10 ** 400, id="10**400"), pytest.param(-10 ** 400, id="-10**400"),
+                pytest.param(Fraction(10 ** 400, 3), id="Fraction(10**400, 3)")]
+
 POSITIVE_ARGUMENTS = {
     "exp_integral_e1": ("exp_integral_e1", "x", exp_integral_e1),
     "jprime": ("jprime", "s", jprime),
@@ -77,13 +82,15 @@ def test_e1_domain_errors(bad):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, "2", True, None, 1j,
-                                 np.True_, np.complex64(2 + 1j), np.clongdouble(2 + 1j)])
+                                 np.True_, np.complex64(2 + 1j), np.clongdouble(2 + 1j),
+                                 *BEYOND_FLOAT])
 @pytest.mark.parametrize("function", sorted(POSITIVE_ARGUMENTS))
 def test_positive_arguments_are_refused_by_one_message(function, bad):
     # slater_rank(spec, tol=inf) counted no coefficient of a normalized state;
     # record_at("2") and record_at(True) ran at s = 2.0 and 1.0, and None and
     # 1j raised a TypeError that named no function; numpy's bool_, complex64
-    # and clongdouble, which have a __float__, ran at s = 1.0 and 2.0
+    # and clongdouble, which have a __float__, ran at s = 1.0 and 2.0; 10**400
+    # raised an OverflowError
     who, name, call = POSITIVE_ARGUMENTS[function]
     message = rf"^{who} requires finite {name} > 0, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=message):
@@ -205,8 +212,9 @@ def test_binary_entropy_symmetry(rng):
         assert abs(binary_entropy(float(p)) - binary_entropy(float(1.0 - p))) <= 1e-15
 
 
-# "0.5" and True ran as 0.5 and 1.0, and None and 1j raised a bare TypeError
-@pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, "0.5", True, None, 1j])
+# "0.5" and True ran as 0.5 and 1.0, None and 1j raised a bare TypeError, and
+# 10**400 an OverflowError
+@pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, "0.5", True, None, 1j, *BEYOND_FLOAT])
 def test_binary_entropy_domain_errors(bad):
     message = rf"^binary_entropy requires p in \[0, 1\], got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=message):

@@ -35,6 +35,11 @@ COMMANDS = (
     ("verify",),
     ("verify", "--h22", "printed"),
     ("verify", "--samples", "20000", "--seed", "7"),
+    # figure's grid, unit and variant, and verify's variant, are fixed
+    ("figure", "--which", "fig1", "--steps", "41"),
+    ("figure", "--which", "fig3", "--s-min", "0.5"),
+    ("figure", "--which", "fig2", "--unit", "ev", "--h22", "printed"),
+    ("verify", "--h22", "corrected"),
     ("--version",),
     *(("point", "--s", s) for s in ("nan", "-1", "1e-4", "700", "inf", "-1e-3")),
     # distances where the library refuses what float64 cannot hold
