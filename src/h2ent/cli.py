@@ -278,7 +278,7 @@ def _verify_lines():
                f"  |diff|/quad={rel:.2e}", rel <= TWO_ELECTRON_REL_TOL)
     yield "", None
 
-    yield (f"[4] exponential integral E1, series/CF vs quadrature "
+    yield (f"[4] exponential integral E1, series/polynomial vs quadrature "
            f"(50 log-spaced points in [1e-3, 50], rel tol {E1_REL_TOL:.0e})"), None
     worst = 0.0
     for x in np.logspace(-3.0, math.log10(50.0), 50).tolist():

@@ -319,7 +319,7 @@ def oracle_e1(x: float) -> float:
     integral_0^1 dt / (x + t) = log1p(1/x), which leaves the bounded
     expm1(-t) / (x + t) to the tanh-sinh rule, so small x costs no digits;
     [1, inf) is one exp-sinh sum in t - 1.  Used only to certify the
-    series/continued-fraction implementation in specfun.
+    series and piecewise polynomial of specfun's E1.
 
     Raises
     ------

@@ -196,12 +196,6 @@ def scan_table(config: ScanConfig) -> "numpy.ndarray":
     Rows are ordered by s.  Points the float64 closed forms cannot evaluate
     come out non-finite (without floating-point warnings), so callers check
     np.isfinite(table).all().
-
-    Raises
-    ------
-    ValueError
-        From exp_integral_e1_array, if s_max > ~4.49e307: there 4 s
-        overflows to inf.
     """
     import numpy as np
     s = grid_values(config.s_min, config.s_max, config.steps)

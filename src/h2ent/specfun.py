@@ -1,30 +1,28 @@
 """Special-function kernel: exponential integral E1, Euler's constant, binary entropy.
 
 The exchange integral of the two-center problem needs E1 at arguments 2s and
-4s, together with Euler's constant gamma.  E1 is evaluated by the classic
-two-regime scheme:
+4s, together with Euler's constant gamma.  E1 is one fixed-cost body of
+(x, xp) in three pieces, each one Horner polynomial of degree 22:
 
-* convergent series  E1(x) = -gamma - ln x - sum_k (-x)^k / (k * k!)   for x <= 1
-* continued fraction E1(x) = e^-x / (x+1 - 1/(x+3 - 4/(x+5 - 9/(...))))
-  evaluated with the modified Lentz algorithm                          for x > 1
+* x <= 1:      E1(x) = -gamma - ln x - x Q(x), with Q the convergent series
+               sum_k (-1)^k x^(k-1) / (k k!) through k = 23
+* 1 < x <= 4
+  and x > 4:   E1(x) = e^-x / x P(1/x - mid), with P a polynomial of
+               x e^x E1(x) in 1/x on that piece
 
-Both regimes deliver better than 1e-13 relative accuracy on [1e-3, 700];
-the certification against an independent quadrature of the defining
-integral lives in the oracle module and the test suite.
+Q's coefficients are computed from their formula at import.  Each P is the
+interpolant at the 23 Chebyshev nodes of 1/x on its piece, [1/4, 1] or
+[0, 1/4], of 40-digit mpmath values, in monomial form about the middle of
+the piece and rounded to floats (tests/test_specfun.py derives them again).
+This is the classic scheme of Cody & Thacher, Math. Comp. 22, 641 (1968),
+with polynomials in place of their rational forms.  E1 is within 1.2e-15
+relative of mpmath on [1e-12, 700] (the tests hold it to 3e-15); the oracle
+module checks it against an independent quadrature of the defining integral.
 
-exp_integral_e1_array runs the same recurrences on a whole array, one numpy
-operation per step; it differs from the scalar only through numpy's log and
-exp, by a few ulp.  The series is one function of (x, xp) for both.  The
-continued fraction has two loops, which read the same numerators
-_CF_NUMERATORS and stop on the same test, delta == 1.0; only the retiring
-belongs to the array loop, which takes each element out at the step where
-the scalar loop returns, because a Lentz step past convergence still moves
-the last bits of the result (of 39 576 out of 40 000 x in (1, 700]), and a
-mask in place of the retiring would put extra calls on every step of the
-scalar loop, which is a large share of the time of one scalar record.
-Where e^-x underflows to 0.0 (x > 745.13) neither loop runs and E1 is 0.0:
-for many x above about 5e11 delta alternates about 1.0 without reaching it,
-and the loop would not stop.
+exp_integral_e1 and exp_integral_e1_array run the same body, so they do the
+same arithmetic on every element and differ only through numpy's log and
+exp, by an ulp or two.  Where e^-x underflows E1 is 0.0, and so it is at
+x = inf, which the integrals' array path reaches where 4 s overflows.
 Every other closed form is written once, as f(s, xp) (the binary entropy as
 f(p, xp)), over MATH_XP for one point or numpy_xp() for arrays.  numpy is
 imported by the functions that build or read arrays, so that the scalar
@@ -33,7 +31,7 @@ path never loads it.
 
 import functools
 import math
-from itertools import islice
+import operator
 from types import SimpleNamespace
 
 __all__ = ["EULER_GAMMA", "exp_integral_e1", "exp_integral_e1_array", "binary_entropy"]
@@ -41,12 +39,24 @@ __all__ = ["EULER_GAMMA", "exp_integral_e1", "exp_integral_e1_array", "binary_en
 # Euler-Mascheroni constant, correctly rounded double.
 EULER_GAMMA = 0.5772156649015329
 
-_SERIES_CUTOFF = 1.0
-_SERIES_MAX_TERMS = 80
-_CF_MAX_ITER = 500
-_CF_TINY = 1e-300
-# the numerators -k^2 of the continued fraction, k = 1, 2, ...
-_CF_NUMERATORS = tuple(-float(k * k) for k in range(1, _CF_MAX_ITER))
+# E1's pieces: 0 for x <= 1, 1 for 1 < x <= 4, 2 for x > 4.  Each row holds
+# one piece's mid, then its 23 Horner coefficients, highest power first, of a
+# polynomial in u = x - 0 on piece 0 and u = 1/x - mid on the others
+_E1_ROWS = (
+    (0.0, *((-1) ** k / (k * math.factorial(k)) for k in range(23, 0, -1))),
+    (0.625, 1.7763910823446154, -1.4445876953765149, -0.2546597784692488, 0.19526138370639806,
+     0.35577318066207886, -0.2972945822322237, 0.14939688487523697, -0.13094977688604206,
+     0.12879240770795364, -0.114487628506819, 0.10214523224268793, -0.09361594947507136,
+     0.08738182201621261, -0.08317117768717638, 0.08105272233232916, -0.0812309629982186,
+     0.08421168733135809, -0.09105259891897538, 0.10393361427357549, -0.12768077211505924,
+     0.1746292926089927, -0.2853599635929983, 0.683980760479085),
+    (0.125, 204583331190.23264, -44133527735.753746, -8744649737.88243, 1833940806.0907006,
+     330219180.60064846, -72226468.6785984, 69775.00012485162, -186244.50093576114,
+     310509.8749557873, -80385.23067796648, 19429.753921502404, -5492.683292720979,
+     1618.9385895035748, -491.41130512282456, 156.1095150507745, -52.34626242474412,
+     18.711853444018594, -7.232197353640272, 3.0844462345425314, -1.4973582210132497,
+     0.8715895917910728, -0.6730722100156749, 0.8982371140279944),
+)
 
 
 def _is_integer(x) -> bool:
@@ -88,42 +98,17 @@ def _require_positive(x, who: str, name: str = "s", or_zero: bool = False) -> fl
     raise ValueError(f"{who} requires finite {name} {'>=' if or_zero else '>'} 0, got {x!r}")
 
 
-def _e1_series(x, xp):
-    # for a float or an array of x <= 1.  The terms shrink, so once |term| <=
-    # 1e-18 |acc| every later one is below half an ulp of acc and leaves it
-    # unchanged: an array may run on until its slowest element stops, with
-    # each element's bits those of the scalar loop
-    acc = 0.0
-    u = 1.0
-    for k in range(1, _SERIES_MAX_TERMS):
-        u = u * (-x / k)
-        term = u / k
-        acc = acc + term
-        if not xp.any(abs(term) > 1e-18 * abs(acc)):
-            break
-    return -EULER_GAMMA - xp.log(x) - acc
-
-
-def _e1_continued_fraction(x: float) -> float:
-    # modified Lentz; numerators -k^2, denominators x+1, x+3, x+5, ...
-    scale = math.exp(-x)
-    if scale == 0.0:
-        return 0.0
-    b = x + 1.0
-    c = 1.0 / _CF_TINY
-    d = 1.0 / b
-    h = d
-    # _CF_MAX_ITER is read per call, so that it bounds this loop as it does
-    # the array one
-    for a in islice(_CF_NUMERATORS, _CF_MAX_ITER - 1):
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if delta == 1.0:
-            return h * scale
-    raise RuntimeError(f"E1 continued fraction failed to converge for x={x!r}")
+def _e1(x, xp):
+    # E1 of a float or an array of x > 0; 0.0 at x = inf.  The piece is an
+    # int (an int array), which `* 1` makes of numpy's bools before the sum
+    piece = (x > 1.0) * 1 + (x > 4.0)
+    series = x <= 1.0
+    row = iter(xp.take(_E1_ROWS, piece))
+    u = xp.where(series, x, 1.0 / x) - next(row)
+    p = 0.0
+    for c in row:
+        p = p * u + c
+    return xp.where(series, -EULER_GAMMA - xp.log(x) - x * p, xp.exp(-x) * (p / x))
 
 
 def exp_integral_e1(x: float) -> float:
@@ -147,38 +132,7 @@ def exp_integral_e1(x: float) -> float:
     ValueError
         If ``x`` is not finite or ``x <= 0``.
     """
-    x = _require_positive(x, "exp_integral_e1", "x")
-    if x <= _SERIES_CUTOFF:
-        return _e1_series(x, MATH_XP)
-    return _e1_continued_fraction(x)
-
-
-def _e1_continued_fraction_array(x):
-    import numpy as np
-    scale = np.exp(-x)
-    out = np.zeros_like(x)
-    live = np.flatnonzero(scale)
-    b = x[live] + 1.0
-    c = 1.0 / _CF_TINY
-    d = 1.0 / b
-    h = d.copy()
-    for a in islice(_CF_NUMERATORS, _CF_MAX_ITER - 1):
-        if live.size == 0:
-            break
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        done = delta == 1.0
-        if done.any():
-            out[live[done]] = h[done]
-            keep = ~done
-            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
-    if live.size:
-        raise RuntimeError(
-            f"E1 continued fraction failed to converge for x={float(x[live[0]])!r}")
-    return out * scale
+    return _e1(_require_positive(x, "exp_integral_e1", "x"), MATH_XP)
 
 
 def exp_integral_e1_array(x) -> "numpy.ndarray":
@@ -188,19 +142,14 @@ def exp_integral_e1_array(x) -> "numpy.ndarray":
     ------
     ValueError
         If any element is not finite or not > 0.
-    RuntimeError
-        If the continued fraction does not converge for some element.
     """
     import numpy as np
     x = np.asarray(x, dtype=np.float64)
     if not (np.isfinite(x).all() and (x > 0.0).all()):
         raise ValueError("exp_integral_e1_array requires finite x > 0 everywhere")
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    series = flat <= _SERIES_CUTOFF
-    out[series] = _e1_series(flat[series], numpy_xp())
-    out[~series] = _e1_continued_fraction_array(flat[~series])
-    return out.reshape(x.shape)
+    # below x = 5.6e-309, 1/x and p/x overflow in the branch not taken
+    with np.errstate(over="ignore"):
+        return _e1(x, numpy_xp())
 
 
 def binary_entropy(p: float) -> float:
@@ -228,12 +177,14 @@ def _binary_entropy(p, xp):
 
 # the functions the closed forms call, for one point or for arrays.  The
 # scalar E1 is looked up when called, so that a profiler's wrapper on
-# specfun.exp_integral_e1 also counts the calls made through MATH_XP
+# specfun.exp_integral_e1 also counts the calls made through MATH_XP.
+# take(rows, i) is row i of a table; for an array i, an iterator over the
+# columns, each gathered at every element's row
 MATH_XP = SimpleNamespace(
     exp=math.exp, expm1=math.expm1, log=math.log, log2=math.log2,
     hypot=math.hypot, atan2=math.atan2, cos=math.cos, sin=math.sin,
     clip=lambda x, lo, hi: min(max(x, lo), hi), where=lambda cond, x, y: x if cond else y,
-    any=bool, e1=lambda x: exp_integral_e1(x))
+    take=operator.getitem, e1=lambda x: exp_integral_e1(x))
 
 
 @functools.cache
@@ -244,4 +195,5 @@ def numpy_xp() -> SimpleNamespace:
     return SimpleNamespace(
         exp=np.exp, expm1=np.expm1, log=np.log, log2=np.log2,
         hypot=np.hypot, atan2=np.arctan2, cos=np.cos, sin=np.sin,
-        clip=np.clip, where=np.where, any=np.any, e1=exp_integral_e1_array)
+        clip=np.clip, where=np.where, e1=lambda x: _e1(x, numpy_xp()),
+        take=lambda rows, i: (np.take(column, i) for column in zip(*rows)))

@@ -187,11 +187,14 @@ def test_grid_commands_refuse_unevaluable_distances(command):
 @pytest.mark.parametrize("command", [
     ["scan", "--s-min", "0.5", "--s-max", "2e12", "--steps", "5000"],
     ["scan", "--s-min", "0.5", "--s-max", "4e307", "--steps", "5000"],
+    ["scan", "--s-min", "0.5", "--s-max", "4.5e307", "--steps", "5000"],
+    ["scan", "--s-min", "0.5", "--s-max", "1.7e308", "--steps", "5000"],
 ])
 def test_array_grid_reaching_huge_distances_is_refused_without_traceback(command):
-    # the array path evaluates E1 at 2s and 4s, where its continued fraction
-    # did not converge for many x above 5e11 (here x = 4.29e12, 3.2e304 and
-    # 1.37e305): exit 1 with a RuntimeError traceback
+    # the array path evaluates E1 at 2s and 4s.  A continued fraction for
+    # E1 once did not converge for many x above 5e11 (here x = 4.29e12,
+    # 3.2e304 and 1.37e305) and exited 1 with a RuntimeError traceback; past
+    # s = 4.49e307, 4s overflows to inf, which E1 refused for the whole grid
     proc = run_python(["-m", "h2ent", *command])
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("h2e: error: ") and "Traceback" not in proc.stderr
@@ -343,8 +346,8 @@ def test_scan_unwritable_output_path(capsys):
 # sha256 of `scan --s-min 0.305 --s-max 19.995 --steps 50000`, captured when
 # the whole table was rendered as one string
 DENSE_SCAN = ["scan", "--s-min", "0.305", "--s-max", "19.995", "--steps", "50000"]
-DENSE_SHA256 = {"csv": "a36a6f6281e4ddd55a9840c5778dcf3cbd5338809262fc2d1939f2ae9424296a",
-                "json": "27251863bb221527ae90443eb579a2a586a9fb6eedb7ee9c9c91d4a82c7f03a5"}
+DENSE_SHA256 = {"csv": "9759be2ef5d47f2102ed0d477c12c8d59cdd220112c743009027c84148190c53",
+                "json": "1749d9497d79123b266637dc8500f6e64e3ff625a2b7a2fddf9a4bf51f5ec133"}
 
 
 @pytest.mark.parametrize("fmt", sorted(DENSE_SHA256))

@@ -3,8 +3,8 @@
 Each group below is the sha256 of the repr of every value it computes, one
 value per line, at fixed inputs: record_at, ci_solve, the CI state's
 w_from_ci matrix and its entanglement measures on 2 000 log-spaced s in
-[1e-2, 650], slater_decompose on seeded random states, and E1 over both of
-its regimes.  tests/data/scalar_golden.json holds the digests; a change that
+[1e-2, 650], slater_decompose on seeded random states, and E1 over all of
+its pieces.  tests/data/scalar_golden.json holds the digests; a change that
 moves one last bit of one value fails here.  To print the digests:
 
     PYTHONPATH=src python tests/test_scalar_golden.py
@@ -29,11 +29,11 @@ DISTANCES = np.logspace(-2.0, math.log10(650.0), 2000).tolist()
 
 
 def e1_arguments():
-    """Both regimes from 1e-6 to 700, x = 1 and its neighbours, and (1, 1.5],
-    where the continued fraction takes the most steps."""
-    near_one = [1.0 - 1e-12, 1.0, 1.0 + 1e-12, math.nextafter(1.0, 0.0),
-                math.nextafter(1.0, 2.0)]
-    return (np.logspace(-6.0, math.log10(700.0), 4000).tolist() + near_one
+    """Every piece from 1e-6 to 700, its edges x = 1 and 4 and their
+    neighbours, and (1, 1.5]."""
+    edges = [1.0 - 1e-12, 1.0, 1.0 + 1e-12, math.nextafter(1.0, 0.0),
+             math.nextafter(1.0, 2.0), math.nextafter(4.0, 0.0), 4.0, math.nextafter(4.0, 5.0)]
+    return (np.logspace(-6.0, math.log10(700.0), 4000).tolist() + edges
             + np.linspace(1.0, 1.5, 2001)[1:].tolist())
 
 

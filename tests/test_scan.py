@@ -388,12 +388,21 @@ def test_grid_rows_name_the_first_non_finite_point(steps):
 
 
 def test_array_path_figure_columns_refuse_huge_distances():
-    # the figure's columns of the array path: E1's continued fraction did
+    # the figure's columns of the array path: a continued fraction for E1 did
     # not converge at 4 s = 1.37e305, which raised a RuntimeError
     steps = SCALAR_ROWS + 1
     with pytest.raises(ValueError, match=r"^non-finite result at s = ") as info:
         grid_rows("fig1", ScanConfig(0.5, 2e307, steps))
     assert float(str(info.value).rsplit(" = ", 1)[1]) in grid_values(0.5, 2e307, steps).tolist()
+
+
+def test_scan_table_returns_non_finite_rows_where_4s_overflows():
+    # past s_max ~ 4.49e307, 4 s is inf, and the array E1 refused the whole
+    # grid with "exp_integral_e1_array requires finite x > 0 everywhere"
+    table = scan_table(ScanConfig(0.5, 4.5e307, 5000))
+    assert table.shape == (5000, len(SCAN_FIELDS))
+    assert np.isfinite(table[0]).all()
+    assert not np.isfinite(table[1:]).all(axis=1).any()
 
 
 # s -> the cause record_at chains: hamiltonian_block refuses to divide by

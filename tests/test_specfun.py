@@ -1,11 +1,14 @@
 import hashlib
 import math
 import re
+import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from h2ent import specfun
 from h2ent.entanglement import SlaterSpectrum, slater_rank
 from h2ent.integrals import coulomb_j, exchange_k, hybrid_l, integral_set, jprime
 from h2ent.oracle import mc_two_electron, oracle_e1, quad_one_electron, quad_two_electron
@@ -70,9 +73,11 @@ def test_e1_strictly_decreasing_and_log_convex():
 
 
 def test_e1_continuous_at_regime_crossover():
-    below = exp_integral_e1(1.0)
-    above = exp_integral_e1(1.0 + 1e-13)
-    assert abs(below - above) <= 1e-13
+    # the series ends at x = 1, the first polynomial piece at x = 4
+    for edge in (1.0, 4.0):
+        below = exp_integral_e1(edge)
+        above = exp_integral_e1(edge + 1e-13)
+        assert 0.0 <= below - above <= 1e-13
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-300, math.inf, math.nan])
@@ -106,29 +111,74 @@ def test_positive_arguments_accept_numpy_numbers(function):
 
 
 def test_e1_is_zero_without_error_up_to_the_largest_floats():
-    # past x ~ 5e11 the Lentz step alternated about 1.0 for thousands of x,
-    # and both functions raised RuntimeError; e^-x is 0.0 from x = 745.14 on
+    # a continued fraction for x > 1 once alternated about its stop test past
+    # x ~ 5e11 and raised RuntimeError; e^-x is 0.0 from x = 745.14 on
     x = np.logspace(math.log10(738.53), math.log10(1.7e308), 30_000)
     assert not exp_integral_e1_array(x).any()
     assert not any(exp_integral_e1(v) for v in x.tolist())
     assert exp_integral_e1(1.7976931348623157e308) == 0.0
     assert exp_integral_e1_array(np.array([0.5, 2.0, 5e11, 1e300]))[2:].tolist() == [0.0, 0.0]
+    # the integrals' array path reaches x = inf where 4 s overflows
+    assert specfun.numpy_xp().e1(np.array([2.0, np.inf])).tolist() == [
+        exp_integral_e1(2.0), 0.0]
 
 
-def test_e1_array_matches_scalar_within_4_ulp():
-    # the scalar's own arguments of both regimes, from 2e-4 to 2800 (where
+def test_e1_array_matches_scalar_within_2_ulp():
+    # the scalar's own arguments of every piece, from 2e-4 to 2800 (where
     # e^-x underflows and both give 0)
     x = np.logspace(math.log10(2e-4), math.log10(2800.0), 200_000)
     array = exp_integral_e1_array(x)
     scalar = np.array([exp_integral_e1(v) for v in x.tolist()])
-    assert np.all(np.abs(array - scalar) <= 4.0 * np.spacing(scalar))
+    assert np.all(np.abs(array - scalar) <= 2.0 * np.spacing(scalar))
+
+
+def test_e1_array_takes_subnormal_x_without_warnings():
+    # 1/x and p/x overflow in the branch that x <= 1 does not take
+    x = np.array([5e-324, 1e-310, 2.2e-308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        array = exp_integral_e1_array(x)
+    scalar = np.array([exp_integral_e1(v) for v in x.tolist()])
+    assert np.all(np.abs(array - scalar) <= 2.0 * np.spacing(scalar))
+
+
+def test_e1_is_within_3e_15_of_mpmath():
+    # both paths, on every piece; a continued fraction for x > 1 reached 9e-15
+    x = np.logspace(-12.0, math.log10(700.0), 3001)
+    with mp.workdps(30):
+        ref = [mp.e1(v) for v in x.tolist()]
+    for values in (exp_integral_e1_array(x).tolist(), [exp_integral_e1(v) for v in x.tolist()]):
+        worst = max(abs(mp.mpf(v) - r) / r for v, r in zip(values, ref))
+        assert worst <= 3e-15
+
+
+def _chebyshev_row(lo, hi, degree):
+    """(mid, then the monomial coefficients in 1/x - mid, highest first) of
+    the interpolant of x e^x E1(x) at the degree + 1 Chebyshev nodes of 1/x
+    in [lo, hi], to 40 digits."""
+    with mp.workdps(40):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        mid, half, n = (lo + hi) / 2, (hi - lo) / 2, degree + 1
+        nodes = [mid + half * mp.cos(mp.pi * (2 * i + 1) / (2 * n)) for i in range(n)]
+        values = [mp.exp(1 / t) * mp.e1(1 / t) / t for t in nodes]
+        powers = mp.matrix([[(t - mid) ** j for j in range(n)] for t in nodes])
+        coefficients = mp.lu_solve(powers, mp.matrix(values))
+        return (float(mid), *(float(coefficients[j]) for j in reversed(range(n))))
+
+
+def test_e1_coefficients_are_derived_from_mpmath():
+    # the series of x <= 1, and x e^x E1(x) on x in (1, 4] and (4, inf], where
+    # 1/x lies in [1/4, 1] and [0, 1/4]
+    series = (0.0, *(float(mp.mpf(-1) ** k / (k * mp.factorial(k))) for k in range(23, 0, -1)))
+    assert specfun._E1_ROWS == (series, _chebyshev_row(0.25, 1.0, 22),
+                                _chebyshev_row(0.0, 0.25, 22))
 
 
 def test_e1_array_bits_are_pinned():
-    # sha256 of the float64 bytes on both regimes; 161 670 of the x are <= 1
+    # sha256 of the float64 bytes on every piece; 161 670 of the x are <= 1
     x = np.logspace(-12.0, np.log10(700.0), 200_001)
     digest = hashlib.sha256(exp_integral_e1_array(x).tobytes()).hexdigest()
-    assert digest == "f82d9cc02b41e8b6dbbcc70c3616077df2c5e9177ff573624395332c2fd8c70f"
+    assert digest == "1a9b418b8ff2441e25b7e0d90c4cf1dbda3cbabe9d08879d1f39150307b280b1"
 
 
 def test_e1_array_keeps_shape_and_regime_crossover():
@@ -146,21 +196,10 @@ def test_e1_array_domain_errors(bad):
         exp_integral_e1_array(np.array([1.0, bad]))
 
 
-def test_e1_array_raises_when_the_fraction_does_not_converge(monkeypatch):
-    import h2ent.specfun as specfun
-
-    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 5)
-    with pytest.raises(RuntimeError, match="failed to converge"):
-        specfun.exp_integral_e1_array(np.array([0.5, 1.5, 100.0]))
-    with pytest.raises(RuntimeError, match="failed to converge"):
-        specfun.exp_integral_e1(1.5)
-
-
 def test_integral_set_calls_e1_twice_through_the_module(monkeypatch):
     # a profiler wraps specfun.exp_integral_e1 from outside; the integrals
     # must reach E1 through that name, at k's two arguments 2s and 4s, except
     # below EXCHANGE_SMALL_S, where k is a series without E1
-    import h2ent.specfun as specfun
     from h2ent.integrals import EXCHANGE_SMALL_S, integral_set
 
     calls = []

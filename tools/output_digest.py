@@ -42,10 +42,14 @@ COMMANDS = (
     ("verify", "--h22", "corrected"),
     ("--version",),
     *(("point", "--s", s) for s in ("nan", "-1", "1e-4", "700", "inf", "-1e-3")),
+    # E1's series (2s, 4s <= 1.2) and its first polynomial piece (2s, 4s in (1, 4])
+    ("point", "--s", "0.3"),
+    ("point", "--s", "1.2"),
     # distances where the library refuses what float64 cannot hold
     ("point", "--s", "710"),
     ("point", "--s", "1e200"),
     ("scan", "--s-min", "600", "--s-max", "800", "--steps", "5"),
+    ("scan", "--s-min", "0.5", "--s-max", "4.5e307", "--steps", "5000"),  # 4s overflows
     # abbreviated float options, each beside its `=` form
     ("scan", "--s-mi", "-1e-3", "--s-max", "1", "--steps", "3"),
     ("scan", "--s-mi=-1e-3", "--s-max", "1", "--steps", "3"),
