@@ -13,8 +13,10 @@ the state is a single Slater determinant iff only one block survives.
 Implemented measures:
 
 * concurrence for n = 4:  C = 8 |w12 w34 + w13 w42 + w14 w23|  (8 |pfaffian|)
-* Slater coefficients {z_k} from the Hermitian spectrum of w^dag w, whose
-  eigenvalues are the doubly degenerate pairs {|z_k|^2}, each pair averaged
+* Slater coefficients {z_k}: for n = 4 in closed form from Pf w and the
+  norm (z1 z2 = |Pf w|, z1^2 + z2^2 = 1/4), with no eigensolver; for n >= 6
+  from the Hermitian spectrum of w^dag w, whose eigenvalues are the doubly
+  degenerate pairs {|z_k|^2}, each pair averaged
 * single-particle reduced density matrix rho = 2 (w^dag w)^T
 * von Neumann entropy  S = -1 - 4 sum_k z_k^2 log2 z_k^2   in [1, log2 n]
 
@@ -30,9 +32,12 @@ sorted descending.  Both keep a read-only copy of their array, so no later
 write gets past the check, and the measures read them without a check of
 their own.  The concurrence is defined for an antisymmetric w only, and
 within that bound the eigenvalue pairs of w^dag w differ by about 1.4e-10
-at most (Weyl's bound), so they need no test of their own.  Everything is
-a pure function; no shared state.  numpy is imported by the functions that
-use it, so that importing this module does not load it.
+at most (Weyl's bound), so they need no test of their own.  The n = 4
+closed form reads the upper triangle alone, as concurrence4 does; within
+those bounds its sum |w_ij|^2, which is sum z_k^2, lies within 0.86e-10 of
+1/4, inside NORM_TOL.  Everything is a pure function; no shared state.
+numpy is imported by the functions that use it, so that importing this
+module does not load it.
 """
 
 import math
@@ -212,17 +217,43 @@ def concurrence4(w: AntisymW) -> float:
 def slater_decompose(w: AntisymW) -> SlaterSpectrum:
     """Slater coefficients {z_k} of the canonical block decomposition.
 
-    The Hermitian matrix w^dag w has eigenvalues {|z_k|^2}, each exactly
-    doubly degenerate for an antisymmetric w.  Eigenvalues are sorted,
-    paired greedily, and each pair averaged.  An AntisymW has |w + w^T|_F
-    <= NORM_TOL, which keeps the two eigenvalues of a pair within about
-    1.4e-10 of each other.
+    For n = 4 the two coefficients follow in closed form from the norm and
+    the Pfaffian.  With u = Pf w / |Pf w| (any unit u if Pf w = 0) and
+    T = sum_{i<j} |w_ij|^2,
+
+        A^2 = |w12 + u w34*|^2 + |w13 - u w24*|^2 + |w14 + u w23*|^2 = T + 2 |Pf w|
+        B^2 = |w12 - u w34*|^2 + |w13 + u w24*|^2 + |w14 - u w23*|^2 = T - 2 |Pf w|
+
+    so z1 + z2 = A and z1 - z2 = B.  Both are sums of squares, so neither
+    cancels as the state nears a maximally entangled one (C -> 1), and
+    z2 = |Pf w| / z1 keeps the smaller coefficient accurate as C -> 0.
+
+    For n >= 6 the Hermitian matrix w^dag w has eigenvalues {|z_k|^2}, each
+    exactly doubly degenerate for an antisymmetric w.  Eigenvalues are
+    sorted, paired greedily, and each pair averaged.  An AntisymW has
+    |w + w^T|_F <= NORM_TOL, which keeps the two eigenvalues of a pair
+    within about 1.4e-10 of each other.
 
     Raises
     ------
     numpy.linalg.LinAlgError
-        If the Hermitian eigensolver itself fails (surfaced, not masked).
+        For n >= 6, if the Hermitian eigensolver itself fails (surfaced,
+        not masked).  The n = 4 closed form calls no eigensolver.
     """
+    if w.n == 4:
+        # six Python complexes: cheaper than numpy calls, and they read the
+        # upper triangle, as concurrence4 does
+        r = w.w.tolist()
+        w12, w13, w14, w23, w24, w34 = r[0][1], r[0][2], r[0][3], r[1][2], r[1][3], r[2][3]
+        pf = w12 * w34 - w13 * w24 + w14 * w23
+        pf_abs = abs(pf)
+        u = pf / pf_abs if pf_abs else 1.0
+        x, y, v = u * w34.conjugate(), u * w24.conjugate(), u * w23.conjugate()
+        a = math.hypot(abs(w12 + x), abs(w13 - y), abs(w14 + v))
+        b = math.hypot(abs(w12 - x), abs(w13 + y), abs(w14 - v))
+        z1 = (a + b) / 2.0
+        # z2 <= z1 exactly; min() keeps a last-bit rounding from unsorting them
+        return SlaterSpectrum([z1, min(pf_abs / z1, z1)])
     import numpy as np
     # a handful of numbers: past the eigensolver, Python floats are cheaper
     # than numpy calls, and do the same arithmetic
@@ -263,7 +294,10 @@ def von_neumann_entropy(spec: SlaterSpectrum) -> float:
     Coefficients with z_k^2 below 1e-14 are treated as exact zeros.  The
     SlaterSpectrum was checked when it was made, so nothing is refused here.
     """
-    import numpy as np
-    z2 = spec.z ** 2
-    z2 = z2[z2 > _LOG_CLAMP]
-    return -1.0 - 4.0 * float((z2 * np.log2(z2)).sum())
+    # a handful of numbers: Python floats are cheaper than numpy calls
+    total = 0.0
+    for v in spec.z.tolist():
+        z2 = v * v
+        if z2 > _LOG_CLAMP:
+            total += z2 * math.log2(z2)
+    return -1.0 - 4.0 * total

@@ -710,6 +710,26 @@ def test_point_does_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+# the standard-library modules that h2ent's modules import at module level
+CLI_STDLIB_IMPORTS = ("argparse", "contextlib", "dataclasses", "errno", "functools", "io",
+                      "json", "math", "operator", "os", "sys", "types")
+
+
+def test_import_cli_loads_nothing_past_its_standard_library_imports():
+    # a fresh `import h2ent.cli` is the start-up cost of every h2e call: it
+    # loads h2ent and what the imports above load, nothing more.  cmath, for
+    # one, is a shared library of its own
+    code = ("import sys\n"
+            f"import {', '.join(CLI_STDLIB_IMPORTS)}\n"
+            "before = set(sys.modules)\n"
+            "import h2ent.cli\n"
+            "extra = sorted(m for m in set(sys.modules) - before\n"
+            "               if m != 'h2ent' and not m.startswith('h2ent.'))\n"
+            "assert extra == [], extra\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_script_available():
     exe = shutil.which("h2e")
     if exe is None:

@@ -4,14 +4,17 @@ import math
 import pickle
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import mode_rotate, random_antisym, random_unitary
-from h2ent.entanglement import (AntisymW, SlaterSpectrum, concurrence4, make_antisym,
+from h2ent.ci import H22_VARIANTS, ci_solve, w_from_ci
+from h2ent.entanglement import (NORM_TOL, AntisymW, SlaterSpectrum, concurrence4, make_antisym,
                                 reduced_density, slater_decompose, slater_rank,
                                 von_neumann_entropy)
 from h2ent.specfun import binary_entropy
+from test_scalar_golden import DISTANCES
 
 INV_SQRT8 = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -110,12 +113,108 @@ def test_slater_decompose_surfaces_pairing_violation():
 
 
 def test_slater_decompose_surfaces_eigensolver_failure(monkeypatch):
-    # a NaN w is refused when made, so a failing eigensolver is simulated
+    # a NaN w is refused when made, so a failing eigensolver is simulated;
+    # n >= 6 takes the eigensolver, n = 4 the closed form
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        slater_decompose(make_antisym([1.0, 0, 0, 0, 0, 1.0]))
+        slater_decompose(make_antisym([1.0] + [0.0] * 13 + [1.0]))
+
+
+def test_slater_decompose_of_four_modes_calls_no_eigensolver(monkeypatch, rng):
+    def fail(a):
+        raise AssertionError("eigvalsh called for n = 4")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    states = [random_antisym(rng, 4) for _ in range(20)]
+    states += [w_from_ci(sol.c1, sol.c2) for sol in map(ci_solve, (0.01, 1.67, 650.0))]
+    states += [make_antisym([1.0, 0, 0, 0, 0, 0]), make_antisym([1.0, 0, 0, 0, 0, 1.0])]
+    for w in states:
+        assert slater_decompose(w).n == 4
+
+
+def _mp_slater(w):
+    """Slater coefficients of w from 40-digit mpmath: the eigenvalues of
+    w^dag w, sorted descending, paired, averaged and square-rooted."""
+    with mpmath.workdps(40):
+        m = mpmath.matrix([[mpmath.mpc(v) for v in row] for row in w.w.tolist()])
+        e = mpmath.eighe(m.H * m, eigvals_only=True)
+        evals = sorted((e[i] for i in range(e.rows)), reverse=True)
+        return [mpmath.sqrt(max((a + b) / 2, 0)) for a, b in zip(evals[::2], evals[1::2])]
+
+
+def _four_mode_states(source):
+    if source == "random":
+        rng = np.random.default_rng(20261021)
+        return [random_antisym(rng, 4) for _ in range(300)]
+    return [w_from_ci(sol.c1, sol.c2) for variant in H22_VARIANTS
+            for s in np.logspace(-2.0, math.log10(650.0), 150).tolist()
+            for sol in [ci_solve(s, variant)]]
+
+
+@pytest.mark.parametrize("source", ["random", "ci"])
+def test_slater_decompose_of_four_modes_is_within_4e_16_of_mpmath(source):
+    # eigvalsh was up to 7.0e-16 off on these states, and z1 - z2 taken as
+    # sqrt(1/4 - 2|Pf|), which cancels as C -> 1, up to 3.7e-9
+    worst = 0.0
+    for w in _four_mode_states(source):
+        got = slater_decompose(w).z.tolist()
+        want = _mp_slater(w)
+        worst = max(worst, max(abs(float(g - t)) for g, t in zip(got, want, strict=True)))
+    assert worst <= 4e-16
+
+
+def test_slater_decompose_of_a_ci_state_is_half_its_coefficients():
+    # w_from_ci's canonical blocks carry c1 and c2: z = (|c1|, |c2|) / 2,
+    # sorted; maximally entangled at c1 = c2 (theta = pi/4)
+    pairs = [(sol.c1, sol.c2) for variant in H22_VARIANTS for s in DISTANCES
+             for sol in [ci_solve(s, variant)]]
+    pairs += [(math.cos(t), math.sin(t)) for t in np.linspace(0.0, 2.0 * math.pi, 401).tolist()]
+    for c1, c2 in pairs:
+        z = slater_decompose(w_from_ci(c1, c2)).z.tolist()
+        want = (max(abs(c1), abs(c2)) / 2.0, min(abs(c1), abs(c2)) / 2.0)
+        assert abs(z[0] - want[0]) <= 1e-15 and abs(z[1] - want[1]) <= 1e-15, (c1, c2, z)
+
+
+def test_slater_decompose_keeps_a_small_coefficient_to_its_last_bits():
+    # a block state has z = (|w12|, |w34|); z2 = (A - B) / 2 instead of
+    # |Pf| / z1 was off by 5.6e-17 absolute, 3.3e-5 relative
+    for t in np.logspace(-12.0, 0.0, 97).tolist():
+        for phase in (1.0, 1j, -1.0, (1.0 + 1j) / math.sqrt(2.0)):
+            w = make_antisym([1.0, 0, 0, 0, 0, t * phase])
+            with mpmath.workdps(40):
+                want = [abs(mpmath.mpc(w.w[0, 1])), abs(mpmath.mpc(w.w[2, 3]))]
+            got = slater_decompose(w).z.tolist()
+            assert all(abs(float(g / x - 1)) <= 4e-16 for g, x in zip(got, want)), (t, phase)
+
+
+def test_slater_decompose_keeps_a_maximally_entangled_spectrum_sorted(rng):
+    # z1 = z2 = 1/sqrt(8): the quotient |Pf| / z1 can round one bit above z1
+    # (in about 1 of 12 rotated states), which SlaterSpectrum would refuse
+    base = make_antisym([1.0, 0, 0, 0, 0, 1.0])
+    for _ in range(300):
+        z = slater_decompose(mode_rotate(base, random_unitary(rng, 4))).z.tolist()
+        assert z[0] >= z[1] and z[0] - z[1] <= 1e-15
+        assert abs(z[0] - INV_SQRT8) <= 1e-15
+
+
+@pytest.mark.parametrize("norm_sign", [1.0, -1.0])
+@pytest.mark.parametrize("sym_sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [4, 6])
+def test_slater_decompose_accepts_every_state_just_inside_the_tolerances(rng, n, norm_sign,
+                                                                         sym_sign):
+    # sum |w_ij|^2 off 1/2 and |w + w^T|_F each 0.99 NORM_TOL, the symmetric
+    # part along the upper triangle, where it moves sum z_k^2 the most
+    for _ in range(20):
+        w = random_antisym(rng, n).w
+        sym = np.triu(w) - np.tril(w)           # symmetric, as w's upper triangle
+        sym /= np.linalg.norm(sym + sym.T)
+        shifted = w + sym_sign * 0.99 * NORM_TOL * sym
+        shifted *= math.sqrt((0.5 + norm_sign * 0.99 * NORM_TOL) / np.vdot(shifted, shifted).real)
+        aw = AntisymW(shifted)
+        spec = slater_decompose(aw)
+        assert spec.n == n
+        assert float(np.sum(spec.z ** 2)) == pytest.approx(0.25, abs=NORM_TOL)
 
 
 def test_concurrence_rejects_nan():

@@ -3,9 +3,10 @@
 Each group below is the sha256 of the repr of every value it computes, one
 value per line, at fixed inputs: record_at, ci_solve, the CI state's
 w_from_ci matrix and its entanglement measures on 2 000 log-spaced s in
-[1e-2, 650], slater_decompose on seeded random states, and E1 over all of
-its pieces.  tests/data/scalar_golden.json holds the digests; a change that
-moves one last bit of one value fails here.  To print the digests:
+[1e-2, 650], slater_decompose on seeded random states (one group for each
+n in 4, 6 and 8), and E1 over all of its pieces.
+tests/data/scalar_golden.json holds the digests; a change that moves one
+last bit of one value fails here.  To print the digests:
 
     PYTHONPATH=src python tests/test_scalar_golden.py
 """
@@ -62,13 +63,14 @@ def digests():
             for sol in sols)
         out[f"ci_state/{variant}"] = _digest(
             _state_values(w_from_ci(sol.c1, sol.c2)) for sol in sols)
+    # one group per n: n = 4 takes the closed form, n = 6 and 8 the eigensolver
     rng = np.random.default_rng(20261018)
-    randoms = []
     for n in (4, 6, 8):
+        randoms = []
         for _ in range(300):
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             randoms.append(make_antisym([m[i, j] for i in range(n) for j in range(i + 1, n)]))
-    out["random_state"] = _digest(_state_values(w) for w in randoms)
+        out[f"random_state/{n}"] = _digest(_state_values(w) for w in randoms)
     out["exp_integral_e1"] = _digest(exp_integral_e1(x) for x in e1_arguments())
     return out
 
