@@ -26,25 +26,28 @@ make_antisym, so no caller passes it.  Each value is checked once, where
 it is made.  An AntisymW refuses, in __post_init__, a w that is not square
 or whose dimension is not even and >= 2, sum |w_ij|^2 off 1/2 by more
 than NORM_TOL (which NaN and inf fail), and |w + w^T|_F > NORM_TOL.  A
-SlaterSpectrum refuses sum z_k^2 off 1/4 by more than NORM_TOL (which a
-non-finite z_k fails), and a z that is not 1-D with coefficients z_k >= 0
-sorted descending.  Both keep a read-only copy of their array, so no later
-write gets past the check, and the measures read them without a check of
-their own.  The concurrence is defined for an antisymmetric w only, and
-within that bound the eigenvalue pairs of w^dag w differ by about 1.4e-10
-at most (Weyl's bound), so they need no test of their own.  The n = 4
-closed form reads the upper triangle alone, as concurrence4 does; within
-those bounds its sum |w_ij|^2, which is sum z_k^2, lies within 0.86e-10 of
-1/4, inside NORM_TOL.  Everything is a pure function; no shared state.
-numpy is imported by the functions that use it, so that importing this
-module does not load it.
+SlaterSpectrum refuses a z that is not a sequence of real numbers (a
+complex, a bool or a Decimal is refused), sum z_k^2 off 1/4 by more than
+NORM_TOL (which a non-finite z_k fails), and coefficients that are not
+>= 0 and sorted descending.  An AntisymW keeps a read-only copy of its
+array and a SlaterSpectrum a tuple of Python floats, so no later write gets
+past the check, and the measures read them without a check of their own.
+The concurrence is defined for an antisymmetric w only, and within that
+bound the eigenvalue pairs of w^dag w differ by about 1.4e-10 at most
+(Weyl's bound), so they need no test of their own.  The n = 4 closed form
+reads the upper triangle alone, as concurrence4 does; within those bounds
+its sum |w_ij|^2, which is sum z_k^2, lies within 0.86e-10 of 1/4, inside
+NORM_TOL.  Everything is a pure function; no shared state.  numpy is
+imported by the functions that use it, so that importing this module does
+not load it; SlaterSpectrum, slater_rank and von_neumann_entropy use none
+of it.
 """
 
 import math
 import sys
 from dataclasses import dataclass, field
 
-from .specfun import _require_positive
+from .specfun import _as_float, _is_real, _require_positive
 
 __all__ = [
     "AntisymW",
@@ -61,6 +64,7 @@ __all__ = [
 # allowed Frobenius norm of w + w^T
 NORM_TOL = 1e-10
 _LOG_CLAMP = 1e-14
+_ONE_D = "a 1-D z of coefficients z_k >= 0 sorted descending"
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,43 +119,38 @@ class SlaterSpectrum:
     """Nonnegative Slater coefficients z_k, sorted descending, of a state
     over n = 2 len(z) modes; sum z_k^2 = 1/4.
 
-    z is a read-only float copy of the sequence given; n is derived from
-    it, not an argument.
+    z is a tuple of the Python floats of the sequence given, so nothing can
+    write to it; n is derived from it, not an argument.
 
     Raises
     ------
     ValueError
-        If a coefficient is complex or not finite, sum z_k^2 is off 1/4 by
-        more than NORM_TOL, or z is not 1-D with coefficients >= 0 sorted
-        descending.
+        If z is not a sequence of numbers, a coefficient is not a real
+        number (a complex, a bool or a Decimal) or not finite, sum z_k^2 is
+        off 1/4 by more than NORM_TOL, or the coefficients are not >= 0 and
+        sorted descending.
     """
 
-    z: "numpy.ndarray"
+    z: tuple[float, ...]
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        import numpy as np
-        z = np.array(self.z)
-        # refused, not cast: a cast drops the imaginary part of an array
-        # after a warning, and raises a bare TypeError for Python complexes
-        if z.dtype.kind == "c":
-            raise ValueError(f"SlaterSpectrum requires real Slater coefficients, got z = {z!r}")
-        z = z.astype(float, copy=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        values = z.ravel().tolist()
-        total = sum([v * v for v in values])
+        # a number or a 0-d array is no sequence of coefficients, and a z that
+        # holds sequences (strings too) is not 1-D: both are refused as such
+        z = tuple(self.z) if hasattr(self.z, "__iter__") and getattr(self.z, "ndim", 1) else None
+        if z is None or not all(map(_is_real, z)):
+            flat = z is not None and not any(hasattr(v, "__iter__") for v in z)
+            what = "real Slater coefficients" if flat else _ONE_D
+            raise ValueError(f"SlaterSpectrum requires {what}, got z = {self.z!r}")
+        object.__setattr__(self, "z", tuple(map(_as_float, z)))
+        total = sum([v * v for v in self.z])
         # written so that NaN fails it too: a non-finite z_k makes the sum NaN or inf
         if not abs(total - 0.25) <= NORM_TOL:
             raise ValueError(f"SlaterSpectrum requires finite Slater coefficients with "
-                             f"sum z_k^2 = 1/4, got {total!r} from z = {z!r}")
-        if z.ndim != 1 or values != sorted(values, reverse=True) or values[-1] < 0:
-            raise ValueError(f"SlaterSpectrum requires a 1-D z of coefficients "
-                             f"z_k >= 0 sorted descending, got z = {z!r}")
-        object.__setattr__(self, "n", 2 * len(values))
-
-    def __reduce__(self):
-        return type(self), (self.z,)
+                             f"sum z_k^2 = 1/4, got {total!r} from z = {self.z!r}")
+        if self.z != tuple(sorted(self.z, reverse=True)) or self.z[-1] < 0:
+            raise ValueError(f"SlaterSpectrum requires {_ONE_D}, got z = {self.z!r}")
+        object.__setattr__(self, "n", 2 * len(self.z))
 
 
 def make_antisym(upper_entries) -> AntisymW:
@@ -243,8 +242,7 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
     if w.n == 4:
         # six Python complexes: cheaper than numpy calls, and they read the
         # upper triangle, as concurrence4 does
-        r = w.w.tolist()
-        w12, w13, w14, w23, w24, w34 = r[0][1], r[0][2], r[0][3], r[1][2], r[1][3], r[2][3]
+        (_, w12, w13, w14), (_, _, w23, w24), (_, _, _, w34), _ = w.w.tolist()
         pf = w12 * w34 - w13 * w24 + w14 * w23
         pf_abs = abs(pf)
         u = pf / pf_abs if pf_abs else 1.0
@@ -273,8 +271,7 @@ def slater_rank(spec: SlaterSpectrum, tol: float = 1e-10) -> int:
         If ``tol`` is not finite and > 0.
     """
     tol = _require_positive(tol, "slater_rank", "tol")
-    # a handful of numbers: Python floats are cheaper than numpy calls
-    return sum(v > tol for v in spec.z.tolist())
+    return sum(v > tol for v in spec.z)
 
 
 def reduced_density(w: AntisymW) -> "numpy.ndarray":
@@ -294,9 +291,8 @@ def von_neumann_entropy(spec: SlaterSpectrum) -> float:
     Coefficients with z_k^2 below 1e-14 are treated as exact zeros.  The
     SlaterSpectrum was checked when it was made, so nothing is refused here.
     """
-    # a handful of numbers: Python floats are cheaper than numpy calls
     total = 0.0
-    for v in spec.z.tolist():
+    for v in spec.z:
         z2 = v * v
         if z2 > _LOG_CLAMP:
             total += z2 * math.log2(z2)

@@ -59,11 +59,13 @@ SCAN_FIELDS = ("s", "e_psi1", "e_psi2", "e_ci", "c1_sq", "c2_sq", "concurrence",
 RENDER_ROWS = 2048
 
 # grid_rows evaluates grids of at most this many points with record_at and
-# larger ones with scan_table.  A fresh `h2e scan` or `h2e figure` process
-# breaks even between 4 096 and 5 000 rows: the array path pays about
-# 0.15 s to import numpy, the point path about 40 us per row
-# (BENCH_16.json, "crossover").  fig3, under 1 us per row, is not split
-# here
+# larger ones with scan_table.  A fresh `h2e scan` process breaks even at
+# 4 600-6 800 rows, as the host's load varies: the array path pays
+# 0.08-0.13 s more to start, most of it numpy's import, and the point path
+# about 21 us per row (BENCH_34.json, "crossover"; BENCH_16.json found
+# 40 us per row and 4 096-5 000 rows).  The value stays 4096: a larger one
+# would print record_at's digits in place of the array path's on the grids
+# in between.  fig3, under 1 us per row, is not split here
 SCALAR_ROWS = 4096
 
 

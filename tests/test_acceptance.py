@@ -210,7 +210,7 @@ def test_c09_fermionic_invariants(rng):
         con = concurrence4(w)
         spec = slater_decompose(w)
         ent = von_neumann_entropy(spec)
-        worst_norm = max(worst_norm, abs(float(np.sum(spec.z ** 2)) - 0.25))
+        worst_norm = max(worst_norm, abs(float(np.sum(np.square(spec.z))) - 0.25))
         rank1 = slater_rank(spec, 1e-6) == 1
         ok &= (-1e-12 <= con <= 1.0 + 1e-12)
         ok &= ((con < 1e-8) == rank1)

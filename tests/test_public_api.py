@@ -33,7 +33,7 @@ API = {
     "integral_set": "(s: float) -> h2ent.integrals.IntegralSet",
     "integral_table": "(s) -> h2ent.integrals.IntegralSet",
     "AntisymW": "(w: 'numpy.ndarray') -> None",
-    "SlaterSpectrum": "(z: 'numpy.ndarray') -> None",
+    "SlaterSpectrum": "(z: tuple[float, ...]) -> None",
     "make_antisym": "(upper_entries) -> h2ent.entanglement.AntisymW",
     "concurrence4": "(w: h2ent.entanglement.AntisymW) -> float",
     "slater_decompose": "(w: h2ent.entanglement.AntisymW) -> h2ent.entanglement.SlaterSpectrum",

@@ -47,7 +47,7 @@ def _digest(values):
 
 def _state_values(w):
     spec = slater_decompose(w)
-    return [w.w.tolist(), concurrence4(w) if w.n == 4 else None, spec.z.tolist(), spec.n,
+    return [w.w.tolist(), concurrence4(w) if w.n == 4 else None, list(spec.z), spec.n,
             slater_rank(spec), von_neumann_entropy(spec)]
 
 
