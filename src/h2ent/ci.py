@@ -31,7 +31,9 @@ matrix
     w12 = w34 = (c1 + c2)/4,   w14 = -w23 = (c1 - c2)/4,   w13 = w24 = 0,
 
 whose concurrence is exactly 2 |c1 c2| and whose Slater coefficients are
-{|c1|/2, |c2|/2}.
+{|c1|/2, |c2|/2}.  w_from_ci gives AntisymW these six upper-triangle
+amplitudes, in the order (w12, w13, w14, w23, w24, w34); the lower
+triangle w_ji = -w_ij is not stored.
 
 ci_table is the one array entry: it takes an array of distances, and each
 CiSolution field is then an array.  The block is plain arithmetic, and the
@@ -220,15 +222,13 @@ def w_from_ci(c1: float, c2: float) -> AntisymW:
     c1, c2 = _check_coefficients(c1, c2, "w_from_ci")
     plus = (c1 + c2) / 4.0
     minus = (c1 - c2) / 4.0
-    # exact normalization guard against accumulated input round-off.  The sum
-    # of the 16 squared moduli, as numpy's pairwise sum adds them, is exactly
-    # 4 (plus^2 + minus^2); the lower triangle is 0 - upper, as w - w.T gives
-    # it, so that a zero entry stays +0.0.  AntisymW makes the complex array
-    # of these rows
+    # exact normalization guard against accumulated input round-off: the
+    # state's sum |w_ij|^2 is 4 (plus^2 + minus^2).  The amplitudes are the
+    # upper triangle (w12, w13, w14, w23, w24, w34); AntisymW makes them
+    # Python complexes
     scale = math.sqrt(0.5 / (4.0 * (plus * plus + minus * minus)))
     p, m = plus * scale, minus * scale
-    return AntisymW([[0.0, p, 0.0, m], [0.0 - p, 0.0, -m, 0.0],
-                     [0.0, 0.0 + m, 0.0, p], [0.0 - m, 0.0, 0.0 - p, 0.0]])
+    return AntisymW((p, 0.0, m, -m, 0.0, p))
 
 
 def ground_concurrence(c1: float, c2: float) -> float:

@@ -20,27 +20,28 @@ Implemented measures:
 * single-particle reduced density matrix rho = 2 (w^dag w)^T
 * von Neumann entropy  S = -1 - 4 sum_k z_k^2 log2 z_k^2   in [1, log2 n]
 
-A state carries its own dimension: n is len(w) for an AntisymW, 2 len(z)
-for a SlaterSpectrum and the n with n(n-1)/2 = len(upper_entries) for
-make_antisym, so no caller passes it.  Each value is checked once, where
-it is made.  An AntisymW refuses, in __post_init__, a w that is not square
-or whose dimension is not even and >= 2, sum |w_ij|^2 off 1/2 by more
-than NORM_TOL (which NaN and inf fail), and |w + w^T|_F > NORM_TOL.  A
-SlaterSpectrum refuses a z that is not a sequence of real numbers (a
-complex, a bool or a Decimal is refused), sum z_k^2 off 1/4 by more than
-NORM_TOL (which a non-finite z_k fails), and coefficients that are not
->= 0 and sorted descending.  An AntisymW keeps a read-only copy of its
-array and a SlaterSpectrum a tuple of Python floats, so no later write gets
-past the check, and the measures read them without a check of their own.
-The concurrence is defined for an antisymmetric w only, and within that
-bound the eigenvalue pairs of w^dag w differ by about 1.4e-10 at most
-(Weyl's bound), so they need no test of their own.  The n = 4 closed form
-reads the upper triangle alone, as concurrence4 does; within those bounds
-its sum |w_ij|^2, which is sum z_k^2, lies within 0.86e-10 of 1/4, inside
-NORM_TOL.  Everything is a pure function; no shared state.  numpy is
-imported by the functions that use it, so that importing this module does
-not load it; SlaterSpectrum, slater_rank and von_neumann_entropy use none
-of it.
+An AntisymW holds only the n(n-1)/2 independent amplitudes, w_ij for i < j
+in row-major order, as a tuple of Python complexes: the state is
+antisymmetric by construction, and w_ji = -w_ij is never stored.  A state
+carries its own dimension: n is the n with n(n-1)/2 = len(upper) for an
+AntisymW and for make_antisym, and 2 len(z) for a SlaterSpectrum, so no
+caller passes it.  Each value is checked once, where it is made.  An
+AntisymW refuses, in __post_init__, an entry that complex() does not take
+(a row of a full matrix included), an entry count of no such form or a
+dimension that is not even and >= 2, and 2 sum_{i<j} |w_ij|^2 off 1/2 by
+more than NORM_TOL (which NaN and inf fail).  A SlaterSpectrum refuses a z
+that is not a sequence of real numbers (a complex, a bool or a Decimal is
+refused), sum z_k^2 off 1/4 by more than NORM_TOL (which a non-finite z_k
+fails), and coefficients that are not >= 0 and sorted descending.  Both
+keep tuples of Python numbers, so no later write gets past the check, and
+the measures read them without a check of their own.  The n = 4 closed form
+reads the six amplitudes as concurrence4 does, and their sum |w_ij|^2 is
+sum z_k^2.  make_antisym, reduced_density and the n >= 6 eigensolver build
+the full matrix, with w_ji = 0.0 - w_ij, in _matrix.  Everything is a pure
+function; no shared state.  numpy is imported by those three alone, so that
+importing this module does not load it, and neither do the two state types,
+concurrence4, the n = 4 slater_decompose, slater_rank or
+von_neumann_entropy.
 """
 
 import math
@@ -60,58 +61,72 @@ __all__ = [
     "von_neumann_entropy",
 ]
 
-# allowed deviation of sum |w_ij|^2 from 1/2 and of sum z_k^2 from 1/4, and
-# allowed Frobenius norm of w + w^T
+# allowed deviation of sum |w_ij|^2 from 1/2 and of sum z_k^2 from 1/4
 NORM_TOL = 1e-10
 _LOG_CLAMP = 1e-14
 _ONE_D = "a 1-D z of coefficients z_k >= 0 sorted descending"
 
 
+def _dimension(count: int, name: str) -> int:
+    """The n with n(n-1)/2 = count: isqrt(n^2 - n) = n - 1 for n >= 1, and
+    an empty triangle gives n = 0."""
+    n = math.isqrt(2 * count) + (count > 0)
+    if n * (n - 1) // 2 != count:
+        raise ValueError(f"{name} requires n(n-1)/2 entries, got {count}")
+    return n
+
+
+def _matrix(upper, n: int) -> "numpy.ndarray":
+    """The complex (n, n) matrix of the strict upper triangle upper.  It is
+    w - w^T of the triangle alone, so w_ji = 0.0 - w_ij, and a zero entry
+    gives +0.0 below the diagonal."""
+    import numpy as np
+    w = np.zeros((n, n), dtype=complex)
+    w[np.triu_indices(n, k=1)] = upper
+    return w - w.T
+
+
 @dataclass(frozen=True, eq=False)
 class AntisymW:
-    """Antisymmetric coefficient matrix of a two-fermion pure state.
+    """Antisymmetric coefficient matrix of a two-fermion pure state, held as
+    its strict upper triangle.
 
     Attributes
     ----------
-    w : numpy.ndarray
-        Complex (n, n) matrix with w.T == -w and sum |w_ij|^2 == 1/2: a
-        read-only copy of the array given.
+    upper : tuple of complex
+        The Python complexes of the amplitudes w_ij, i < j, given in
+        row-major order (for n = 4: w12, w13, w14, w23, w24, w34), with
+        2 sum |w_ij|^2 == 1/2; w_ji = -w_ij is not stored.
     n : int
-        Even dimension of the single-particle space, len(w); not an
-        argument.
+        Even dimension of the single-particle space, from
+        len(upper) = n(n-1)/2; not an argument.
 
     Raises
     ------
     ValueError
-        If w is not square, its dimension is not even and >= 2, or it is
-        not normalized (non-finite entries included) or not antisymmetric.
+        If an entry is not a number complex() takes, the entry count is not
+        n(n-1)/2 for an even n >= 2, or the state is not normalized
+        (non-finite entries included).
     """
 
-    w: "numpy.ndarray"
+    upper: tuple[complex, ...]
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        import numpy as np
-        w = np.array(self.w, dtype=complex)
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"AntisymW requires a square w, got shape {w.shape}")
-        object.__setattr__(self, "n", len(w))
+        try:
+            upper = tuple(map(complex, self.upper))
+        except TypeError:
+            raise ValueError(f"AntisymW requires a sequence of complex w_ij, i < j, "
+                             f"got {self.upper!r}") from None
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "n", _dimension(len(upper), "AntisymW"))
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"single-particle dimension must be even and >= 2, got {self.n}")
-        nrm2 = float(np.vdot(w, w).real)
+        # products, not powers: a finite entry past the float range gives inf
+        nrm2 = 2.0 * sum([v.real * v.real + v.imag * v.imag for v in upper])
         # written so that NaN fails it too
         if not abs(nrm2 - 0.5) <= NORM_TOL:
             raise ValueError(f"AntisymW requires a normalized w, got sum |w_ij|^2 = {nrm2!r}")
-        sym = w + w.T
-        norm = math.sqrt(np.vdot(sym, sym).real)
-        if norm > NORM_TOL:
-            raise ValueError(f"AntisymW requires an antisymmetric w, got |w + w^T|_F = {norm!r}")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __post_init__: checked and read-only
-        return type(self), (self.w,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,32 +183,27 @@ def make_antisym(upper_entries) -> AntisymW:
         The antisymmetric completion rescaled so sum |w_ij|^2 = 1/2.
     """
     import numpy as np
-    entries = np.asarray(upper_entries, dtype=complex).ravel()
-    # the root of n(n-1)/2 = size; a size of no such form fails the test below
-    n = (1 + math.isqrt(1 + 8 * entries.size)) // 2
-    if n * (n - 1) // 2 != entries.size:
-        raise ValueError(f"make_antisym requires n(n-1)/2 entries, got {entries.size}")
-    w = np.zeros((n, n), dtype=complex)
-    iu, ju = np.triu_indices(n, k=1)
-    w[iu, ju] = entries
-    w[ju, iu] = -entries
+    # a copy, which the rescaling below may divide in place
+    entries = np.array(upper_entries, dtype=complex).ravel()
+    n = _dimension(entries.size, "make_antisym")
     with np.errstate(over="ignore"):
-        nrm2 = float(np.sum(np.abs(w) ** 2))
+        # over all n^2 entries of w, in numpy's pairwise order: a sum of the
+        # n(n-1)/2 entries alone moves a last bit of 20-36% of random states
+        nrm2 = float(np.sum(np.abs(_matrix(entries, n)) ** 2))
         if not sys.float_info.min <= nrm2 < math.inf:
             # the squares of finite entries overflowed or underflowed (a NaN
             # or inf entry, or all zeros, leave peak out of range): divide
             # each real and imaginary part by the largest of them first
-            parts = w.view(float)
-            peak = float(np.max(np.abs(parts)))
+            parts = entries.view(float)
+            peak = float(np.max(np.abs(parts), initial=0.0))
             if 0.0 < peak < math.inf:
                 parts /= peak
-                nrm2 = float(np.sum(np.abs(w) ** 2))
+                nrm2 = float(np.sum(np.abs(_matrix(entries, n)) ** 2))
     if nrm2 == 0.0:
         raise ValueError("all-zero coefficient matrix does not define a state")
     if not math.isfinite(nrm2):
         raise ValueError(f"make_antisym requires finite entries, got sum |w_ij|^2 = {nrm2!r}")
-    w *= math.sqrt(0.5 / nrm2)
-    return AntisymW(w)
+    return AntisymW((entries * math.sqrt(0.5 / nrm2)).tolist())
 
 
 def concurrence4(w: AntisymW) -> float:
@@ -209,8 +219,9 @@ def concurrence4(w: AntisymW) -> float:
     """
     if w.n != 4:
         raise ValueError(f"concurrence4 is defined for n = 4, got n = {w.n}")
+    w12, w13, w14, w23, w24, w34 = w.upper
     # 8 |Pf w|
-    return 8.0 * abs(w.w[0, 1] * w.w[2, 3] - w.w[0, 2] * w.w[1, 3] + w.w[0, 3] * w.w[1, 2])
+    return 8.0 * abs(w12 * w34 - w13 * w24 + w14 * w23)
 
 
 def slater_decompose(w: AntisymW) -> SlaterSpectrum:
@@ -228,10 +239,9 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
     z2 = |Pf w| / z1 keeps the smaller coefficient accurate as C -> 0.
 
     For n >= 6 the Hermitian matrix w^dag w has eigenvalues {|z_k|^2}, each
-    exactly doubly degenerate for an antisymmetric w.  Eigenvalues are
-    sorted, paired greedily, and each pair averaged.  An AntisymW has
-    |w + w^T|_F <= NORM_TOL, which keeps the two eigenvalues of a pair
-    within about 1.4e-10 of each other.
+    exactly doubly degenerate for the antisymmetric w that _matrix builds
+    from the upper triangle.  Eigenvalues are sorted, paired greedily, and
+    each pair averaged.
 
     Raises
     ------
@@ -240,9 +250,7 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
         not masked).  The n = 4 closed form calls no eigensolver.
     """
     if w.n == 4:
-        # six Python complexes: cheaper than numpy calls, and they read the
-        # upper triangle, as concurrence4 does
-        (_, w12, w13, w14), (_, _, w23, w24), (_, _, _, w34), _ = w.w.tolist()
+        w12, w13, w14, w23, w24, w34 = w.upper
         pf = w12 * w34 - w13 * w24 + w14 * w23
         pf_abs = abs(pf)
         u = pf / pf_abs if pf_abs else 1.0
@@ -255,7 +263,8 @@ def slater_decompose(w: AntisymW) -> SlaterSpectrum:
     import numpy as np
     # a handful of numbers: past the eigensolver, Python floats are cheaper
     # than numpy calls, and do the same arithmetic
-    evals = np.linalg.eigvalsh(w.w.conj().T @ w.w).tolist()[::-1]   # descending
+    m = _matrix(w.upper, w.n)
+    evals = np.linalg.eigvalsh(m.conj().T @ m).tolist()[::-1]   # descending
     evals = [0.0 if e < 0.0 else e for e in evals]
     # descending as the eigenvalues are, since rounding is monotone
     z = [math.sqrt((a + b) / 2.0) for a, b in zip(evals[::2], evals[1::2], strict=True)]
@@ -281,7 +290,8 @@ def reduced_density(w: AntisymW) -> "numpy.ndarray":
     degenerate.  The AntisymW was checked when it was made, so nothing is
     refused here.
     """
-    return 2.0 * (w.w.conj().T @ w.w).T
+    m = _matrix(w.upper, w.n)
+    return 2.0 * (m.conj().T @ m).T
 
 
 def von_neumann_entropy(spec: SlaterSpectrum) -> float:

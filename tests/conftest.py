@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import h2ent.ci
-from h2ent.entanglement import AntisymW, make_antisym
+from h2ent.entanglement import AntisymW, _matrix, make_antisym
 
 
 @pytest.fixture(autouse=True)
@@ -32,5 +32,7 @@ def random_unitary(rng, n=4):
 
 
 def mode_rotate(w: AntisymW, u: np.ndarray) -> AntisymW:
-    """Coefficient matrix after rotating the modes: w' = U^dag w U*."""
-    return AntisymW(u.conj().T @ w.w @ u.conj())
+    """Coefficient matrix after rotating the modes: w' = U^dag w U*, given to
+    AntisymW as its upper triangle."""
+    rotated = u.conj().T @ _matrix(w.upper, w.n) @ u.conj()
+    return AntisymW(rotated[np.triu_indices(w.n, k=1)].tolist())

@@ -268,17 +268,19 @@ def test_equilibrium_numbers():
 
 def test_w_from_ci_single_configuration():
     w = w_from_ci(1.0, 0.0)
-    assert w.w[0, 1] == w.w[2, 3] == w.w[0, 3] == 0.25
-    assert w.w[1, 2] == -0.25
-    assert w.w[0, 2] == w.w[1, 3] == 0.0
+    w12, w13, w14, w23, w24, w34 = w.upper
+    assert w12 == w34 == w14 == 0.25
+    assert w23 == -0.25
+    assert w13 == w24 == 0.0
     assert concurrence4(w) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_w_from_ci_symmetric_mixture():
     w = w_from_ci(SQ2, SQ2)
-    assert w.w[0, 1] == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=1e-15)
-    assert w.w[0, 3] == pytest.approx(0.0, abs=1e-15)
-    assert w.w[1, 2] == pytest.approx(0.0, abs=1e-15)
+    w12, _, w14, w23, _, _ = w.upper
+    assert w12 == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=1e-15)
+    assert w14 == pytest.approx(0.0, abs=1e-15)
+    assert w23 == pytest.approx(0.0, abs=1e-15)
     assert concurrence4(w) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -369,7 +371,7 @@ def test_coefficient_functions_take_numpy_floats():
     c1, c2 = np.float64(0.6), np.float64(0.8)
     assert ground_concurrence(c1, c2) == ground_concurrence(0.6, 0.8)
     assert ground_entropy(c1, c2) == ground_entropy(0.6, 0.8)
-    assert np.array_equal(w_from_ci(c1, c2).w, w_from_ci(0.6, 0.8).w)
+    assert w_from_ci(c1, c2).upper == w_from_ci(0.6, 0.8).upper
 
 
 @pytest.mark.parametrize("name", sorted(COEFFICIENT_FUNCTIONS))

@@ -11,8 +11,8 @@ import pytest
 
 from conftest import mode_rotate, random_antisym, random_unitary
 from h2ent.ci import H22_VARIANTS, ci_solve, w_from_ci
-from h2ent.entanglement import (NORM_TOL, AntisymW, SlaterSpectrum, concurrence4, make_antisym,
-                                reduced_density, slater_decompose, slater_rank,
+from h2ent.entanglement import (NORM_TOL, AntisymW, SlaterSpectrum, _matrix, concurrence4,
+                                make_antisym, reduced_density, slater_decompose, slater_rank,
                                 von_neumann_entropy)
 from h2ent.specfun import binary_entropy
 from test_cli import run_python
@@ -21,26 +21,30 @@ from test_scalar_golden import DISTANCES
 INV_SQRT8 = 1.0 / (2.0 * math.sqrt(2.0))
 
 
+def matrix(w):
+    return _matrix(w.upper, w.n)
+
+
 def norm2(w):
-    return float(np.sum(np.abs(w.w) ** 2))
+    return float(np.sum(np.abs(matrix(w)) ** 2))
 
 
 def test_make_antisym_single_pair():
     w = make_antisym([1.0, 0, 0, 0, 0, 0])
-    assert w.w[0, 1] == 0.5
-    assert w.w[1, 0] == -0.5
+    assert w.upper[0] == 0.5
+    assert matrix(w)[1, 0] == -0.5
     assert norm2(w) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_make_antisym_two_pairs_uniform_rescale():
     w = make_antisym([1.0, 0, 0, 0, 0, 1.0])
-    assert w.w[0, 1] == pytest.approx(INV_SQRT8, abs=1e-15)
-    assert w.w[2, 3] == pytest.approx(INV_SQRT8, abs=1e-15)
+    assert w.upper[0] == pytest.approx(INV_SQRT8, abs=1e-15)
+    assert w.upper[5] == pytest.approx(INV_SQRT8, abs=1e-15)
 
 
 def test_make_antisym_preserves_phase():
     w = make_antisym([5.0j])
-    assert w.w[0, 1] == pytest.approx(0.5j, abs=1e-15)
+    assert w.upper[0] == pytest.approx(0.5j, abs=1e-15)
 
 
 def test_make_antisym_rejects_bad_input():
@@ -61,7 +65,7 @@ def test_make_antisym_accepts_finite_entries_whose_squares_leave_the_float_range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w = make_antisym([scale, 0, 0, 0, 0, scale])
-    assert w.w.tobytes() == make_antisym([1, 0, 0, 0, 0, 1]).w.tobytes()
+    assert matrix(w).tobytes() == matrix(make_antisym([1, 0, 0, 0, 0, 1])).tobytes()
 
 
 def test_make_antisym_rejects_non_finite_entries():
@@ -104,16 +108,6 @@ def test_slater_spectrum_normalization(rng, n):
         assert float(np.sum(np.square(spec.z))) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_slater_decompose_surfaces_pairing_violation():
-    # a non-antisymmetric matrix has no doubly degenerate w^dag w spectrum;
-    # it is refused when made, before the eigensolver
-    w = np.zeros((4, 4), dtype=complex)
-    w[0, 1], w[1, 0] = 0.7, -0.1
-    w *= math.sqrt(0.5 / np.sum(np.abs(w) ** 2))
-    with pytest.raises(ValueError, match="^AntisymW requires an antisymmetric w"):
-        slater_decompose(AntisymW(w))
-
-
 def test_slater_decompose_surfaces_eigensolver_failure(monkeypatch):
     # a NaN w is refused when made, so a failing eigensolver is simulated;
     # n >= 6 takes the eigensolver, n = 4 the closed form
@@ -139,7 +133,7 @@ def _mp_slater(w):
     """Slater coefficients of w from 40-digit mpmath: the eigenvalues of
     w^dag w, sorted descending, paired, averaged and square-rooted."""
     with mpmath.workdps(40):
-        m = mpmath.matrix([[mpmath.mpc(v) for v in row] for row in w.w.tolist()])
+        m = mpmath.matrix([[mpmath.mpc(v) for v in row] for row in matrix(w).tolist()])
         e = mpmath.eighe(m.H * m, eigvals_only=True)
         evals = sorted((e[i] for i in range(e.rows)), reverse=True)
         return [mpmath.sqrt(max((a + b) / 2, 0)) for a, b in zip(evals[::2], evals[1::2])]
@@ -185,7 +179,7 @@ def test_slater_decompose_keeps_a_small_coefficient_to_its_last_bits():
         for phase in (1.0, 1j, -1.0, (1.0 + 1j) / math.sqrt(2.0)):
             w = make_antisym([1.0, 0, 0, 0, 0, t * phase])
             with mpmath.workdps(40):
-                want = [abs(mpmath.mpc(w.w[0, 1])), abs(mpmath.mpc(w.w[2, 3]))]
+                want = [abs(mpmath.mpc(w.upper[0])), abs(mpmath.mpc(w.upper[5]))]
             got = list(slater_decompose(w).z)
             assert all(abs(float(g / x - 1)) <= 4e-16 for g, x in zip(got, want)), (t, phase)
 
@@ -201,19 +195,13 @@ def test_slater_decompose_keeps_a_maximally_entangled_spectrum_sorted(rng):
 
 
 @pytest.mark.parametrize("norm_sign", [1.0, -1.0])
-@pytest.mark.parametrize("sym_sign", [1.0, -1.0])
 @pytest.mark.parametrize("n", [4, 6])
-def test_slater_decompose_accepts_every_state_just_inside_the_tolerances(rng, n, norm_sign,
-                                                                         sym_sign):
-    # sum |w_ij|^2 off 1/2 and |w + w^T|_F each 0.99 NORM_TOL, the symmetric
-    # part along the upper triangle, where it moves sum z_k^2 the most
+def test_slater_decompose_accepts_every_state_just_inside_the_tolerances(rng, n, norm_sign):
+    # sum |w_ij|^2 off 1/2 by 0.99 NORM_TOL
     for _ in range(20):
-        w = random_antisym(rng, n).w
-        sym = np.triu(w) - np.tril(w)           # symmetric, as w's upper triangle
-        sym /= np.linalg.norm(sym + sym.T)
-        shifted = w + sym_sign * 0.99 * NORM_TOL * sym
-        shifted *= math.sqrt((0.5 + norm_sign * 0.99 * NORM_TOL) / np.vdot(shifted, shifted).real)
-        aw = AntisymW(shifted)
+        upper = np.array(random_antisym(rng, n).upper)
+        upper *= math.sqrt((0.5 + norm_sign * 0.99 * NORM_TOL) / (2.0 * np.vdot(upper, upper).real))
+        aw = AntisymW(upper)
         spec = slater_decompose(aw)
         assert spec.n == n
         assert float(np.sum(np.square(spec.z))) == pytest.approx(0.25, abs=NORM_TOL)
@@ -222,50 +210,22 @@ def test_slater_decompose_accepts_every_state_just_inside_the_tolerances(rng, n,
 def test_concurrence_rejects_nan():
     with pytest.raises(ValueError, match=r"^AntisymW requires a normalized w, "
                                          r"got sum \|w_ij\|\^2 = nan$"):
-        concurrence4(AntisymW(np.full((4, 4), np.nan, dtype=complex)))
+        concurrence4(AntisymW([math.nan] * 6))
 
 
 def test_concurrence_refuses_an_unnormalized_state():
     # three times a normalized state gave C = 9, outside [0, 1]
     w = make_antisym([1.0, 0, 0, 0, 0, 1.0])
     with pytest.raises(ValueError, match=r"^AntisymW requires a normalized w"):
-        concurrence4(AntisymW(3.0 * w.w))
-
-
-# the two tests below are parametrized by the measures that read an
-# AntisymW: the state is refused when it is made, so none of them sees it
-@pytest.mark.parametrize("measure", [concurrence4, slater_decompose, reduced_density])
-def test_antisym_measures_refuse_a_matrix_that_is_not_antisymmetric(measure):
-    # normalized, but w^T != -w: concurrence4 gave C = 1.815, outside [0, 1],
-    # and reduced_density a unit-trace matrix
-    w = np.zeros((4, 4), dtype=complex)
-    w[0, 1], w[1, 0], w[2, 3], w[3, 2] = 0.7, -0.1, 0.7, 0.3
-    w *= math.sqrt(0.5 / np.sum(np.abs(w) ** 2))
-    with pytest.raises(ValueError, match=r"^AntisymW requires an antisymmetric w, "
-                                         r"got \|w \+ w\^T\|_F = "):
-        measure(AntisymW(w))
-
-
-@pytest.mark.parametrize("measure", [concurrence4, slater_decompose, reduced_density])
-def test_antisym_measures_bound_the_symmetric_part(rng, measure):
-    # |w + w^T|_F <= NORM_TOL = 1e-10, so a symmetric part (w + w^T)/2 of
-    # Frobenius norm 2e-10 is refused and one of 2e-11 accepted
-    w = random_antisym(rng, 4)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    sym = (m + m.T) / np.linalg.norm(m + m.T)
-    with pytest.raises(ValueError, match="^AntisymW requires an antisymmetric w"):
-        measure(AntisymW(w.w + 2e-10 * sym))
-    measure(AntisymW(w.w + 2e-11 * sym))
+        concurrence4(AntisymW([3.0 * v for v in w.upper]))
 
 
 def test_antisymw_refuses_an_odd_dimension():
     # a normalized antisymmetric 3x3 w: slater_decompose raised zip()'s bare
     # ValueError, and reduced_density returned a unit-trace matrix
-    w = np.zeros((3, 3), dtype=complex)
-    w[0, 1], w[1, 0] = 0.5, -0.5
     with pytest.raises(ValueError, match="^single-particle dimension must be even and >= 2, "
                                          "got 3$"):
-        AntisymW(w)
+        AntisymW([0.5, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -276,7 +236,7 @@ def test_the_dimension_is_derived_from_the_state(rng, n):
     spec = slater_decompose(aw)
     # from the entries, from w and from z, a Python int each time: a numpy
     # integer given as n was stored as it came
-    for value in (aw, AntisymW(aw.w), spec, SlaterSpectrum(spec.z)):
+    for value in (aw, AntisymW(aw.upper), spec, SlaterSpectrum(spec.z)):
         assert type(value.n) is int and value.n == n
     assert len(spec.z) == n // 2
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -284,16 +244,70 @@ def test_the_dimension_is_derived_from_the_state(rng, n):
 
 
 @pytest.mark.parametrize("w", [np.zeros((4, 2)), np.zeros(4), np.zeros((2, 2, 2)),
-                               np.array(0.5)])
+                               np.array(0.5), np.zeros((4, 4)), [[0.0, 0.5], [-0.5, 0.0]]])
 def test_antisymw_refuses_a_w_that_is_not_square(w):
-    with pytest.raises(ValueError, match=r"^AntisymW requires a square w, got shape \("):
+    # no array of any shape is taken for a state: the rows of a matrix are not
+    # numbers, and four entries are no upper triangle
+    with pytest.raises(ValueError, match=r"^AntisymW requires (a sequence of complex w_ij, "
+                                         r"i < j, got |n\(n-1\)/2 entries, got 4$)"):
         AntisymW(w)
 
 
 def test_antisymw_refuses_an_empty_w():
     with pytest.raises(ValueError, match="^single-particle dimension must be even and >= 2, "
                                          "got 0$"):
-        AntisymW(np.zeros((0, 0)))
+        AntisymW(())
+
+
+NOT_COMPLEX = "a sequence of complex w_ij, i < j, got "
+
+
+@pytest.mark.parametrize("upper, message", [
+    ([None] * 6, NOT_COMPLEX),
+    ([[0.5]] * 6, NOT_COMPLEX),
+    ([object()] * 6, NOT_COMPLEX),
+    (0.5, NOT_COMPLEX),
+    ([0.5, 0.0], r"n\(n-1\)/2 entries, got 2$"),
+    ([0.5] + [0.0] * 13, r"n\(n-1\)/2 entries, got 14$"),
+    ([math.inf] + [0.0] * 5, r"a normalized w, got sum \|w_ij\|\^2 = inf$"),
+    ([1e200] + [0.0] * 5, r"a normalized w, got sum \|w_ij\|\^2 = inf$"),
+])
+def test_antisymw_refuses_what_is_not_an_upper_triangle_of_a_state(upper, message):
+    # object() raised a TypeError when the state was a matrix; a finite entry
+    # past the float range must not raise an OverflowError
+    with pytest.raises(ValueError, match="^AntisymW requires " + message):
+        AntisymW(upper)
+
+
+def test_concurrence4_returns_a_python_float():
+    # it returned numpy.float64, though annotated float
+    for w in (w_from_ci(0.6, 0.8), make_antisym([1.0, 0.5j, 0, 0, -0.25, 1.0])):
+        assert type(concurrence4(w)) is float
+
+
+def test_the_library_sweep_chain_loads_no_numpy():
+    # a state holds Python complexes: the scalar chain from a distance to the
+    # entropy, and pickling and copying a state, leave numpy unloaded
+    code = ("import copy, pickle, sys\n"
+            "from h2ent import ci, entanglement as e, scan\n"
+            "scan.record_at(1.7)\n"
+            "sol = ci.ci_solve(1.7)\n"
+            "w = ci.w_from_ci(sol.c1, sol.c2)\n"
+            "assert 0.0 < e.concurrence4(w) < 1.0\n"
+            "spec = e.slater_decompose(w)\n"
+            "assert e.slater_rank(spec) == 2 and 1.0 < e.von_neumann_entropy(spec) < 2.0\n"
+            "for dup in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):\n"
+            "    assert type(dup.upper) is tuple and dup.upper == w.upper and dup.n == 4\n"
+            "    assert all(type(v) is complex for v in dup.upper)\n"
+            "    try:\n"
+            "        dup.upper[0] = 1.0\n"
+            "    except TypeError:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise AssertionError('upper took an item assignment')\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("count", [4, 5, 7, 14])
@@ -304,7 +318,7 @@ def test_make_antisym_refuses_an_entry_count_that_is_not_triangular(count):
 
 
 @pytest.mark.parametrize("make, value", [
-    (AntisymW, np.array([[0.0, 0.5], [-0.5, 0.0]])),
+    (AntisymW, [0.5]),
     (SlaterSpectrum, [0.5]),
     (make_antisym, [1.0]),
 ])
@@ -316,13 +330,13 @@ def test_the_dimension_is_not_an_argument(make, value):
 
 
 def test_antisymw_keeps_a_read_only_copy():
-    given = make_antisym([1.0, 0, 0, 0, 0, 1.0]).w.copy()
+    given = np.array(make_antisym([1.0, 0, 0, 0, 0, 1.0]).upper)
     aw = AntisymW(given)
-    with pytest.raises(ValueError, match="read-only"):
-        aw.w[0, 1] = 5.0
-    given[0, 1] = 5.0
-    assert not np.shares_memory(aw.w, given)
-    assert aw.w[0, 1] == pytest.approx(INV_SQRT8, abs=1e-15)
+    with pytest.raises(TypeError):
+        aw.upper[0] = 5.0
+    given[0] = 5.0
+    assert type(aw.upper) is tuple and all(type(v) is complex for v in aw.upper)
+    assert aw.upper[0] == pytest.approx(INV_SQRT8, abs=1e-15)
     assert concurrence4(aw) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -356,19 +370,20 @@ COPIES = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
 
 @pytest.mark.parametrize("how", sorted(COPIES))
 def test_copies_are_checked_and_read_only(how):
-    # pickle and deepcopy gave a writable array, and copy.copy shared it
+    # pickle and deepcopy of a state held as an array gave a writable array,
+    # and copy.copy shared it
     aw = make_antisym([1.0, 0.5j, 0, 0, -0.25, 1.0])
     spec = slater_decompose(aw)
     for value in (aw, spec):
         dup = COPIES[how](value)
         assert type(dup) is type(value) and type(dup.n) is int and dup.n == value.n
     dup = COPIES[how](aw)
-    assert not dup.w.flags.writeable and not np.shares_memory(dup.w, aw.w)
-    assert dup.w.tobytes() == aw.w.tobytes() and dup.w.dtype == aw.w.dtype
+    assert type(dup.upper) is tuple and dup.upper == aw.upper
+    assert all(type(v) is complex for v in dup.upper)
     dup = COPIES[how](spec)
     assert type(dup.z) is tuple and dup.z == spec.z and all(type(v) is float for v in dup.z)
-    with pytest.raises(ValueError, match="read-only"):
-        COPIES[how](aw).w[0, 1] = 5.0
+    with pytest.raises(TypeError):
+        COPIES[how](aw).upper[0] = 5.0
     with pytest.raises(TypeError):
         COPIES[how](spec).z[1] = 0.5
 
@@ -409,7 +424,7 @@ def test_slater_rank_counts_above_tolerance():
 
 def test_reduced_density_rejects_nan():
     with pytest.raises(ValueError, match="^AntisymW requires a normalized w"):
-        reduced_density(AntisymW(np.full((4, 4), np.nan, dtype=complex)))
+        reduced_density(AntisymW([math.nan] * 6))
 
 
 def test_reduced_density_of_block_state():

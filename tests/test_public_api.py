@@ -32,7 +32,7 @@ API = {
     "one_center_m": "() -> float",
     "integral_set": "(s: float) -> h2ent.integrals.IntegralSet",
     "integral_table": "(s) -> h2ent.integrals.IntegralSet",
-    "AntisymW": "(w: 'numpy.ndarray') -> None",
+    "AntisymW": "(upper: tuple[complex, ...]) -> None",
     "SlaterSpectrum": "(z: tuple[float, ...]) -> None",
     "make_antisym": "(upper_entries) -> h2ent.entanglement.AntisymW",
     "concurrence4": "(w: h2ent.entanglement.AntisymW) -> float",

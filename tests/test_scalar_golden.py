@@ -19,8 +19,8 @@ import pathlib
 import numpy as np
 
 from h2ent.ci import H22_VARIANTS, ci_solve, w_from_ci
-from h2ent.entanglement import (concurrence4, make_antisym, slater_decompose, slater_rank,
-                                von_neumann_entropy)
+from h2ent.entanglement import (_matrix, concurrence4, make_antisym, slater_decompose,
+                                slater_rank, von_neumann_entropy)
 from h2ent.scan import UNIT_FACTORS, record_at
 from h2ent.specfun import exp_integral_e1
 
@@ -47,8 +47,8 @@ def _digest(values):
 
 def _state_values(w):
     spec = slater_decompose(w)
-    return [w.w.tolist(), concurrence4(w) if w.n == 4 else None, list(spec.z), spec.n,
-            slater_rank(spec), von_neumann_entropy(spec)]
+    return [_matrix(w.upper, w.n).tolist(), concurrence4(w) if w.n == 4 else None, list(spec.z),
+            spec.n, slater_rank(spec), von_neumann_entropy(spec)]
 
 
 def digests():
